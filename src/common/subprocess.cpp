@@ -133,10 +133,9 @@ pollFd(int fd, short events, bool armed, DeadlineClock::time_point end)
         p.fd = fd;
         p.events = events;
         p.revents = 0;
-        const int timeout = remainingMs(armed, end);
-        if (armed && timeout == 0)
-            return Status::unavailable(kDeadlineMessage);
-        const int r = poll(&p, 1, timeout);
+        // An exhausted budget still checks readiness once (a zero
+        // poll), so a zero deadline means "only what is ready now".
+        const int r = poll(&p, 1, remainingMs(armed, end));
         if (r < 0) {
             if (errno == EINTR)
                 continue;

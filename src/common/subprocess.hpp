@@ -106,7 +106,8 @@ class LineReader
 
     Result<std::string> readLine();
 
-    /** readLine with a poll deadline; deadline_ms < 0 blocks. */
+    /** readLine with a poll deadline; deadline_ms < 0 blocks, 0
+        takes only what is ready now. */
     Result<std::string> readLine(int deadline_ms);
 
   private:

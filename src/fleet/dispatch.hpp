@@ -3,14 +3,18 @@
  * Transport-independent fleet dispatch core.
  *
  * FleetDispatch owns everything about a fleet campaign that does not
- * depend on *how* work units travel: the deterministic task plan and
- * its fingerprint, the unit queue, resume restore, checkpoint
- * flushing, per-cell tallies, per-scheme aggregates, requeue/poison
- * accounting, and result finalization. Transports — the forked-worker
- * pipe dispatcher (fleet/fleet.cpp) and the socket campaign service
- * (net/service.cpp) — are thin liaison loops over this surface:
- * claim a unit, round-trip it to a host, then settle it exactly once
- * via completeUnit / failUnit / requeueUnit.
+ * depend on *how* work units travel: the work units cut from the
+ * shared campaign plan (sim/campaign_core.hpp), the unit queue,
+ * unit-granular resume, requeue/poison accounting, per-host credit
+ * and telemetry, and result finalization. The fleet service
+ * (net/service.cpp) runs one liaison loop per host — forked local
+ * worker or authenticated agent alike — over this surface: claim a
+ * unit, round-trip it to the host, then settle it exactly once via
+ * completeUnit / failUnit / requeueUnit.
+ *
+ * The queue is a deque under the dispatcher's state mutex, plus a
+ * condition variable: an idle liaison blocks in waitClaim and wakes
+ * the moment a unit is requeued or the last unit settles.
  *
  * Settlement is idempotent by construction: every unit settles at
  * most once (a mutex-guarded per-unit flag), so a late or duplicated
@@ -38,18 +42,9 @@
 
 #include "common/status.hpp"
 #include "fleet/protocol.hpp"
-#include "obs/journal.hpp"
 #include "sim/campaign.hpp"
 
 namespace gpuecc::sim::fleet {
-
-/** How requeueUnit disposed of an in-flight unit. */
-enum class RequeueOutcome
-{
-    requeued, //!< back in the queue for another host
-    poisoned, //!< attempt cap hit: cell failed, unit retired
-    settled,  //!< a late result settled it first; nothing to do
-};
 
 /** One registered host's live accounting (a /status row). */
 struct HostStatus
@@ -80,14 +75,9 @@ struct DispatchStatus
     std::uint64_t shards_total = 0;
     std::uint64_t shards_done = 0; //!< includes resumed shards
     std::uint64_t trials_done = 0; //!< evaluated this run
-    std::uint64_t requeues = 0;
-    std::uint64_t poisoned = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t workers_lost = 0;
-    std::uint64_t worker_timeouts = 0;
-    std::uint64_t heartbeat_expiries = 0;
-    std::uint64_t agents_connected = 0;
-    std::uint64_t auth_failures = 0;
+    /** Fault counters so far, as timing.fleet reports them (no
+        worker records). */
+    obs::FleetTelemetry fleet;
     double elapsed_seconds = 0.0;
     double units_per_second = 0.0;
     /** Negative = unknown (nothing settled live yet). */
@@ -101,12 +91,12 @@ class FleetDispatch
     using Clock = std::chrono::steady_clock;
 
     /**
-     * Build the plan: resolve schemes (skipping broken ones into
-     * result.errors), shard every cell, cut units that never straddle
-     * a cell boundary, restore a resume checkpoint. Errors here are
-     * unrecoverable setup problems (no usable scheme, corrupt or
-     * mismatched checkpoint). Runs on the calling thread; fork any
-     * worker processes between create() and start().
+     * Build the plan and cut it into work units that never straddle a
+     * cell boundary, then restore a resume checkpoint at unit
+     * granularity. Errors here are unrecoverable setup problems (no
+     * usable scheme, corrupt or mismatched checkpoint). Runs on the
+     * calling thread; fork any worker processes between create() and
+     * start().
      */
     static Result<std::unique_ptr<FleetDispatch>>
     create(const CampaignSpec& spec);
@@ -115,15 +105,11 @@ class FleetDispatch
 
     /** @name Plan facts (immutable after create) */
     ///@{
-    const std::string& fingerprint() const { return fingerprint_; }
-    std::size_t unitCount() const { return units_.size(); }
-    const WorkUnit& unit(std::uint64_t u) const { return units_[u]; }
+    const WorkUnit& unit(std::uint64_t u) const;
     /** Units not settled by resume restore at create() time. */
-    std::uint64_t initialPendingUnits() const { return initial_pending_; }
+    std::uint64_t initialPendingUnits() const;
     /** The config line payload for one worker/agent. */
     FleetConfig configFor(int worker) const;
-    /** Human label of a unit's cell, e.g. "rs-dueh/two_bit_row". */
-    std::string unitLabel(std::uint64_t u) const;
     ///@}
 
     /**
@@ -137,28 +123,30 @@ class FleetDispatch
     bool allSettled() const;
 
     /**
-     * Pop the next dispatchable unit. Units whose cell already failed
-     * are settled-and-skipped internally; units settled by a late
-     * result are dropped. Returns false when the queue is empty —
-     * which, while !allSettled(), means other liaisons hold the last
-     * units in flight (stay subscribed: they may come back).
+     * Pop the next dispatchable unit, blocking up to @p slice (zero:
+     * not at all) while the queue is empty. Units whose cell already
+     * failed are settled-and-skipped internally; units settled by a
+     * late result are dropped. A requeue or the last settlement wakes
+     * every waiter at once. Returns false when the slice passed with
+     * nothing to claim — while !allSettled(), other liaisons hold the
+     * last units in flight (they may come back) — or every unit
+     * settled.
      */
-    bool tryClaim(std::uint64_t& u);
+    bool waitClaim(std::uint64_t& u, Clock::duration slice);
 
     /**
-     * Validate a decoded result message against the dispatched unit
-     * and the plan (fingerprint, entry range, per-entry tallies) —
-     * the same validator checkpoint resume uses.
+     * Validate a decoded result message against the unit it names and
+     * the plan (unit index, fingerprint, entry range, per-entry
+     * tallies) — the same tally validator checkpoint resume uses.
      */
-    Status validateResult(std::uint64_t u,
-                          const WorkerMessage& msg) const;
+    Status validateResult(const WorkerMessage& msg) const;
 
     /**
-     * Merge a validated result and settle the unit. Returns false if
-     * the unit was already settled — a late or duplicated delivery,
-     * counted in fleet.duplicate_results, tallies untouched.
+     * Merge a validated result and settle the unit it names. Returns
+     * false if that unit was already settled — a late or duplicated
+     * delivery, counted in fleet.duplicate_results, tallies untouched.
      */
-    bool completeUnit(std::uint64_t u, const WorkerMessage& msg,
+    bool completeUnit(const WorkerMessage& msg,
                       Clock::time_point dispatch_at,
                       Clock::time_point done_at);
 
@@ -171,15 +159,16 @@ class FleetDispatch
 
     /**
      * Put an in-flight unit back after its host died, hung, or broke
-     * protocol. @p why feeds the poison message when the attempt cap
-     * (spec.fleet_max_unit_attempts) is reached.
+     * protocol — unless a late result settled it first. At the attempt
+     * cap (spec.fleet_max_unit_attempts) the unit is retired instead
+     * and its cell fails, with @p why in the poison message.
      */
-    RequeueOutcome requeueUnit(std::uint64_t u, const std::string& why);
+    void requeueUnit(std::uint64_t u, const std::string& why);
 
     /**
      * Serve every still-pending unit on the calling thread — the
-     * last-resort degradation when no worker or agent is left.
-     * Respects interrupts; failures fail cells, never the campaign.
+     * last-resort degradation when no host is left. Respects
+     * interrupts; failures fail cells, never the campaign.
      */
     void finishInProcess();
 
@@ -188,7 +177,6 @@ class FleetDispatch
     void noteWorkerLost();
     void noteWorkerTimeout();
     void noteHeartbeatExpiry();
-    void noteAgentConnected();
     void noteAuthFailure();
     ///@}
 
@@ -196,12 +184,13 @@ class FleetDispatch
     ///@{
 
     /**
-     * Register a host connection — a forked pipe worker, an
+     * Register a host connection — a forked local worker, an
      * authenticated remote agent, or the in-process fallback. Call at
      * config-send time: the instant is captured on both the steady
      * and trace clocks and becomes the reference every span timestamp
      * the host later ships is rebased against (a host's clock reads
-     * "µs since it received the config"). Journals the connect.
+     * "µs since it received the config"). Journals the connect and
+     * counts remote ones in fleet.agents_connected.
      */
     void registerHost(int worker, const std::string& label,
                       bool remote);
@@ -210,27 +199,16 @@ class FleetDispatch
     void noteUnitDispatched(std::uint64_t u, int worker);
 
     /**
-     * Merge one telemetry line from a host: shipped counter deltas
-     * accumulate under the host's slot (surfaced at finalize as
-     * fleet.host.<label>.<name> series), completed spans queue for
-     * replay onto the host's trace track, and now_us contributes a
-     * clock-offset sample. Hosts ship telemetry *before* the result
-     * it accompanies, so absorbing is always safe pre-settlement and
-     * never double-counts: the counters are deltas, shipped once.
+     * Merge one telemetry or heartbeat line from a host: shipped
+     * counter deltas accumulate under the host's slot (surfaced at
+     * finalize as fleet.host.<label>.<name> series), completed spans
+     * queue for replay onto the host's trace track, and now_us (0 = no
+     * sample) tightens the minimum-latency clock offset used to rebase
+     * them. Hosts ship telemetry *before* the result it accompanies,
+     * so absorbing is always safe pre-settlement and never
+     * double-counts: the counters are deltas, shipped once.
      */
     void absorbTelemetry(const WorkerMessage& msg);
-
-    /**
-     * A heartbeat's now_us as a clock-offset sample (0 = heartbeat
-     * from an older worker; ignored). More samples tighten the
-     * minimum-latency offset estimate used for span rebasing.
-     */
-    void noteHeartbeat(int worker, std::uint64_t now_us);
-
-    /** Append one event to the journal (no-op without --journal). */
-    void journalEvent(const std::string& event,
-                      const obs::EventJournal::Fields& fields = {},
-                      const obs::EventJournal::Nums& nums = {});
 
     /** Sample the live state — the /status and /metrics source. */
     DispatchStatus status() const;
@@ -239,21 +217,17 @@ class FleetDispatch
 
     /**
      * Stop the clocks, flush the final checkpoint, drop failed
-     * schemes, fill timing.fleet, and return the campaign result.
-     * @p workers is the dispatch width for telemetry; @p records the
-     * per-host audit trail. Call once, after all liaisons joined.
+     * schemes, fill timing.fleet (one dispatch slot per record), and
+     * return the campaign result. @p records is the per-host audit
+     * trail. Call once, after all liaisons joined.
      */
-    CampaignResult
-    finalize(int workers, std::vector<obs::FleetWorkerRecord> records);
+    CampaignResult finalize(std::vector<obs::FleetWorkerRecord> records);
 
   private:
     FleetDispatch() = default;
 
     struct Impl;
     std::unique_ptr<Impl> impl_;
-    std::string fingerprint_;
-    std::vector<WorkUnit> units_;
-    std::uint64_t initial_pending_ = 0;
 };
 
 } // namespace gpuecc::sim::fleet

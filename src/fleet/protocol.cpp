@@ -156,30 +156,6 @@ encodeUnitLine(const WorkUnit& unit)
     return w.str() + "\n";
 }
 
-Result<WorkUnit>
-decodeUnitLine(const std::string& line)
-{
-    Result<JsonValue> doc = parseLine(line, "unit");
-    if (!doc.ok())
-        return doc.status();
-    WorkUnit out;
-    Result<std::uint64_t> unit = getUint(doc.value(), "unit");
-    Result<std::uint64_t> first = getUint(doc.value(), "first");
-    Result<std::uint64_t> count = getUint(doc.value(), "count");
-    if (!unit.ok())
-        return unit.status();
-    if (!first.ok())
-        return first.status();
-    if (!count.ok())
-        return count.status();
-    out.unit = unit.value();
-    out.first_task = first.value();
-    out.task_count = count.value();
-    if (out.task_count == 0)
-        return Status::dataLoss("fleet unit: empty task range");
-    return out;
-}
-
 std::string
 encodeResultLine(const WorkerMessage& result)
 {
@@ -389,20 +365,25 @@ decodeServerLine(const std::string& line)
     const std::string type =
         getString(doc.value(), "type").value(); // parseLine validated
     ServerMessage out;
-    if (type == "heartbeat") {
-        out.kind = ServerMessage::Kind::heartbeat;
-        return out;
-    }
     if (type == "shutdown") {
         out.kind = ServerMessage::Kind::shutdown;
         return out;
     }
     if (type == "unit") {
-        out.kind = ServerMessage::Kind::unit;
-        Result<WorkUnit> unit = decodeUnitLine(line);
+        Result<std::uint64_t> unit = getUint(doc.value(), "unit");
+        Result<std::uint64_t> first = getUint(doc.value(), "first");
+        Result<std::uint64_t> count = getUint(doc.value(), "count");
         if (!unit.ok())
             return unit.status();
-        out.unit = unit.value();
+        if (!first.ok())
+            return first.status();
+        if (!count.ok())
+            return count.status();
+        if (count.value() == 0)
+            return Status::dataLoss("fleet unit: empty task range");
+        out.unit.unit = unit.value();
+        out.unit.first_task = first.value();
+        out.unit.task_count = count.value();
         return out;
     }
     return Status::dataLoss("fleet protocol: unknown server line type '" +
@@ -468,8 +449,8 @@ decodeWorkerLine(const std::string& line)
     }
     if (type == "heartbeat") {
         out.kind = WorkerMessage::Kind::heartbeat;
-        // Optional worker clock sample (absent on the pipe transport
-        // and on lines from pre-PR-10 agents).
+        // Optional worker clock sample (absent on lines from older
+        // agents).
         if (root.get("now_us").ok()) {
             Result<std::uint64_t> now = getUint(root, "now_us");
             if (!now.ok())

@@ -1,9 +1,9 @@
 /**
  * @file
- * Fleet wire protocol: newline-delimited JSON over worker pipes.
+ * Fleet wire protocol: newline-delimited JSON, the same over a local
+ * worker's pipe pair and an agent's TCP connection.
  *
- * The dispatcher and its forked workers speak three line kinds. The
- * parent sends one *config* line (the full campaign plan identity:
+ * The parent sends one *config* line (the full campaign plan identity:
  * schemes, patterns, samples, seed, effective chunk, fingerprint,
  * codec backend) followed by *unit* lines naming contiguous shard-task
  * ranges; the worker answers each unit with a *result* line whose
@@ -15,14 +15,15 @@
  * (scheme, pattern) cell gracefully, a worker_error retires the whole
  * worker and requeues its unit.
  *
- * The socket transport (src/net) speaks the same lines plus a small
- * session layer: a challenge → auth → welcome handshake (HMAC over a
- * server nonce proves both sides hold the shared secret before any
- * plan data moves), *heartbeat* lines in both directions (liveness —
- * a host whose heartbeats stop is retired and its unit requeued), and
- * a *shutdown* line for graceful drain. Every line is bounded by
- * kMaxWireLineBytes at the parser; an oversized line is a structured
- * dataLoss, never unbounded buffer growth.
+ * Around that sits a small session layer: *heartbeat* lines from the
+ * host (liveness — a host whose heartbeats stop is retired and its
+ * unit requeued), *telemetry* lines, and a *shutdown* line from the
+ * parent for graceful drain. A TCP agent first passes a challenge →
+ * auth → welcome handshake (HMAC over a server nonce proves both
+ * sides hold the shared secret before any plan data moves); a local
+ * worker, forked by the parent itself, skips it. Every line is
+ * bounded by kMaxWireLineBytes at the parser; an oversized line is a
+ * structured dataLoss, never unbounded buffer growth.
  */
 
 #ifndef GPUECC_FLEET_PROTOCOL_HPP
@@ -99,7 +100,7 @@ struct WorkerMessage
         result,       //!< unit completed; checkpoint holds tallies
         unit_error,   //!< unit's cell failed persistently (message)
         worker_error, //!< worker unusable; message says why
-        heartbeat,    //!< liveness beacon (socket transport only)
+        heartbeat,    //!< liveness beacon
         telemetry,    //!< metrics delta + finished spans (PR 10)
     };
 
@@ -121,19 +122,13 @@ struct WorkerMessage
     ///@}
 };
 
-/**
- * One parsed parent → worker line on the socket transport, where the
- * stream carries session-layer lines interleaved with work units.
- * (The pipe transport sends only unit lines and signals completion by
- * closing the pipe, so the plain decodeUnitLine path still serves it.)
- */
+/** One parsed parent → worker line after the config line. */
 struct ServerMessage
 {
     enum class Kind
     {
-        unit,      //!< a work unit to evaluate
-        heartbeat, //!< liveness beacon; refresh the server deadline
-        shutdown,  //!< graceful drain: finish nothing more, hang up
+        unit,     //!< a work unit to evaluate
+        shutdown, //!< graceful drain: finish nothing more, hang up
     };
 
     Kind kind = Kind::unit;
@@ -169,7 +164,7 @@ std::string encodeAuthLine(const std::string& agent,
 std::string encodeWelcomeLine(int worker, const std::string& mac_hex);
 std::string encodeAuthErrorLine(const std::string& message);
 /** `now_us` is the worker-relative clock sample used for clock-offset
-    refinement; 0 (the pipe transport) means "no sample". */
+    refinement; 0 means "no sample". */
 std::string encodeHeartbeatLine(int worker, std::uint64_t now_us = 0);
 std::string encodeTelemetryLine(const WorkerMessage& telemetry);
 std::string encodeShutdownLine();
@@ -178,7 +173,6 @@ std::string encodeShutdownLine();
 /** @name Line decoders (structural validation; dataLoss on garbage) */
 ///@{
 Result<FleetConfig> decodeConfigLine(const std::string& line);
-Result<WorkUnit> decodeUnitLine(const std::string& line);
 Result<WorkerMessage> decodeWorkerLine(const std::string& line);
 Result<ServerMessage> decodeServerLine(const std::string& line);
 Result<std::string> decodeChallengeLine(const std::string& line);

@@ -1,100 +1,21 @@
 #include "fleet/worker.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
-#include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/codec_mode.hpp"
 #include "common/status.hpp"
-#include "ecc/registry.hpp"
-#include "faultsim/shard.hpp"
 #include "obs/metrics.hpp"
+#include "sim/campaign_core.hpp"
 #include "sim/chaos.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace gpuecc::sim::fleet {
-
-namespace {
-
-/** One plan entry: a shard of one (scheme, pattern) cell. */
-struct WorkerTask
-{
-    std::size_t scheme;
-    Shard shard;
-};
-
-std::uint64_t
-microsSince(std::chrono::steady_clock::time_point origin)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - origin)
-            .count());
-}
-
-std::uint64_t
-microsBetween(std::chrono::steady_clock::time_point origin,
-              std::chrono::steady_clock::time_point at)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            at - origin)
-            .count());
-}
-
-/**
- * Background heartbeat: writes a liveness line on an interval so the
- * dispatcher can tell "busy evaluating" from "dead". A chaos-stalled
- * process stops beating (chaosStalled), which is what makes the
- * silent-host scenario reproducible.
- */
-class Heartbeat
-{
-  public:
-    Heartbeat(int interval_ms, const std::function<void()>& beat)
-    {
-        thread_ = std::thread([this, interval_ms, beat] {
-            std::unique_lock<std::mutex> lock(mutex_);
-            for (;;) {
-                cv_.wait_for(lock,
-                             std::chrono::milliseconds(interval_ms),
-                             [this] { return stop_; });
-                if (stop_)
-                    return;
-                if (chaosStalled())
-                    continue;
-                lock.unlock();
-                beat();
-                lock.lock();
-            }
-        });
-    }
-
-    ~Heartbeat()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        thread_.join();
-    }
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool stop_ = false;
-    std::thread thread_;
-};
-
-} // namespace
 
 ServeEnd
 serveFleetUnits(const FleetConfig& cfg, LineReader& in,
@@ -106,6 +27,9 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
     // the dispatcher can rebase them onto its own clock without the
     // two machines sharing one.
     const auto config_at = std::chrono::steady_clock::now();
+    const auto sinceConfig = [config_at] {
+        return microsBetween(config_at, std::chrono::steady_clock::now());
+    };
 
     // Writes come from this thread (results) and the heartbeat
     // thread; serialize them so lines never interleave mid-frame.
@@ -126,52 +50,45 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
                         ? CodecBackend::reference
                         : CodecBackend::compiled);
 
-    // The dispatcher resolved these same ids before sending the
-    // config, so a failure here is a genuine environment fault, not a
-    // planning error.
-    std::vector<std::shared_ptr<EntryScheme>> schemes;
-    std::vector<GoldenEntry> goldens;
-    for (const std::string& id : cfg.scheme_ids) {
-        Result<std::shared_ptr<EntryScheme>> scheme = findScheme(id);
-        if (!scheme.ok()) {
-            return bail("scheme " + id + ": " +
-                        scheme.status().toString());
-        }
-        schemes.push_back(scheme.value());
-        goldens.push_back(makeGolden(*schemes.back(), cfg.seed));
-    }
-
-    // Rebuild the plan exactly as the dispatcher did (same loops, same
-    // order) and prove it with the fingerprint: a unit's task indices
-    // are only meaningful against an identical plan.
-    std::vector<WorkerTask> tasks;
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-        for (ErrorPattern p : cfg.patterns) {
-            for (const Shard& shard :
-                 planShards(p, cfg.samples, cfg.chunk))
-                tasks.push_back({s, shard});
-        }
-    }
-    const std::string fingerprint = campaignFingerprint(
-        cfg.scheme_ids, cfg.patterns, cfg.samples, cfg.seed, cfg.chunk,
-        codecBackendName(), tasks.size());
+    // Rebuild the plan exactly as the dispatcher did and prove it with
+    // the fingerprint: a unit's task indices are only meaningful
+    // against an identical plan. The dispatcher resolved these same
+    // ids before sending the config, so a scheme failing here is a
+    // genuine environment fault, not a planning error.
+    std::vector<CampaignError> skipped;
+    Result<CampaignPlan> built =
+        CampaignPlan::build(cfg.scheme_ids, cfg.patterns, cfg.samples,
+                            cfg.seed, cfg.chunk, skipped);
+    if (!skipped.empty())
+        return bail("scheme " + skipped.front().scheme_id + ": " +
+                    skipped.front().message);
+    if (!built.ok())
+        return bail(built.status().toString());
+    const CampaignPlan& plan = built.value();
+    const std::string fingerprint = plan.fingerprint();
     if (fingerprint != cfg.fingerprint) {
         return bail("plan fingerprint mismatch\n  parent: " +
                     cfg.fingerprint + "\n  worker: " + fingerprint);
     }
 
-    std::unique_ptr<Heartbeat> heartbeat;
-    if (opts.heartbeats) {
-        heartbeat = std::make_unique<Heartbeat>(
-            opts.heartbeat_interval_ms, [&] {
-                // A failed beat is not fatal here — the read loop
-                // surfaces the broken stream on its next pass. The
-                // beat carries this host's clock so every heartbeat
-                // doubles as a clock-offset sample.
-                send(encodeHeartbeatLine(cfg.worker,
-                                         microsSince(config_at)));
-            });
-    }
+    // Beat on an interval so the dispatcher can tell "busy evaluating"
+    // from "dead"; a chaos-stalled process goes silent, which is what
+    // makes the silent-host scenario reproducible. A failed beat is
+    // not fatal here — the read loop surfaces the broken stream on its
+    // next pass. The beat carries this host's clock so every heartbeat
+    // doubles as a clock-offset sample.
+    std::jthread heartbeat([&](std::stop_token stop) {
+        std::mutex mutex;
+        std::condition_variable_any tick;
+        std::unique_lock<std::mutex> lock(mutex);
+        while (!tick.wait_for(
+            lock, stop,
+            std::chrono::milliseconds(opts.heartbeat_interval_ms),
+            [&stop] { return stop.stop_requested(); })) {
+            if (!chaosStalled())
+                send(encodeHeartbeatLine(cfg.worker, sinceConfig()));
+        }
+    });
 
     ShardBatchArena arena;
     std::uint64_t units_done = 0;
@@ -193,28 +110,15 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         if (!line.ok())
             return ServeEnd::protocol;
 
-        WorkUnit unit;
-        if (opts.session_lines) {
-            Result<ServerMessage> decoded =
-                decodeServerLine(line.value());
-            if (!decoded.ok()) {
-                bail(decoded.status().toString());
-                return ServeEnd::protocol;
-            }
-            if (decoded.value().kind == ServerMessage::Kind::heartbeat)
-                continue; // liveness only; the read itself sufficed
-            if (decoded.value().kind == ServerMessage::Kind::shutdown)
-                return ServeEnd::shutdown;
-            unit = decoded.value().unit;
-        } else {
-            Result<WorkUnit> decoded = decodeUnitLine(line.value());
-            if (!decoded.ok()) {
-                bail(decoded.status().toString());
-                return ServeEnd::protocol;
-            }
-            unit = decoded.value();
+        Result<ServerMessage> decoded = decodeServerLine(line.value());
+        if (!decoded.ok()) {
+            bail(decoded.status().toString());
+            return ServeEnd::protocol;
         }
-        if (unit.first_task + unit.task_count > tasks.size()) {
+        if (decoded.value().kind == ServerMessage::Kind::shutdown)
+            return ServeEnd::shutdown;
+        const WorkUnit& unit = decoded.value().unit;
+        if (unit.first_task + unit.task_count > plan.tasks.size()) {
             bail("unit " + std::to_string(unit.unit) +
                  " is outside the plan");
             return ServeEnd::protocol;
@@ -233,31 +137,15 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         std::string failure;
         for (std::uint64_t i = unit.first_task;
              i < unit.first_task + unit.task_count; ++i) {
-            const WorkerTask& t = tasks[i];
-            OutcomeCounts counts;
-            try {
-                chaosOnTaskAttempt(i);
-                counts = evaluateShardBatched(*schemes[t.scheme],
-                                              goldens[t.scheme],
-                                              cfg.seed, t.shard, arena);
-            } catch (const std::exception& first) {
-                // Same contract as the in-process runner: one retry,
-                // then the *cell* fails, not the worker.
-                try {
-                    chaosOnTaskAttempt(i);
-                    counts = evaluateShardBatched(*schemes[t.scheme],
-                                                  goldens[t.scheme],
-                                                  cfg.seed, t.shard,
-                                                  arena);
-                } catch (const std::exception& second) {
-                    failure = "shard task " + std::to_string(i) +
-                              " failed twice: " + second.what();
-                    break;
-                }
+            Result<OutcomeCounts> counts = plan.evaluateTask(i, arena);
+            if (!counts.ok()) {
+                failure = counts.status().message();
+                break;
             }
-            result.checkpoint.done.push_back({i, counts});
+            result.checkpoint.done.push_back({i, counts.value()});
         }
-        result.busy_us = microsSince(unit_start);
+        result.busy_us = microsBetween(
+            unit_start, std::chrono::steady_clock::now());
         ++units_done;
 
         // Ship telemetry *before* the unit's settlement line: the
@@ -269,7 +157,7 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
             telemetry.kind = WorkerMessage::Kind::telemetry;
             telemetry.worker = cfg.worker;
             telemetry.unit = unit.unit;
-            telemetry.now_us = microsSince(config_at);
+            telemetry.now_us = sinceConfig();
             reg.flushThisThread();
             obs::MetricsSnapshot now = reg.snapshot();
             const obs::MetricsSnapshot delta =
@@ -303,7 +191,7 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
 }
 
 int
-fleetWorkerMain(int read_fd, int write_fd)
+fleetWorkerMain(int read_fd, int write_fd, int heartbeat_interval_ms)
 {
     LineReader in(read_fd, kMaxWireLineBytes);
 
@@ -319,7 +207,8 @@ fleetWorkerMain(int read_fd, int write_fd)
         return kWorkerSetupExit;
     }
 
-    const ServeOptions opts; // pipe mode: EOF shutdown, no beats
+    ServeOptions opts;
+    opts.heartbeat_interval_ms = heartbeat_interval_ms;
     switch (serveFleetUnits(
         config.value(), in,
         [write_fd](const std::string& line) {

@@ -1,19 +1,20 @@
 /**
  * @file
- * Fleet worker unit-serving loop, shared by pipe workers and agents.
+ * Fleet worker unit-serving loop, shared by local workers and agents.
  *
  * A worker is the serving half of the fleet dispatcher: it takes one
  * config line, independently rebuilds the campaign task plan from it,
  * refuses to serve (worker_error) if its re-derived fingerprint
  * differs from the dispatcher's, then evaluates work units until the
- * stream ends. serveFleetUnits is that loop, transport-agnostic: the
- * forked pipe worker (fleetWorkerMain) runs it with EOF as the normal
- * shutdown and no session lines; the socket agent (net/agent) runs it
- * with heartbeats on, a read deadline for dead-server detection, and
- * shutdown lines for graceful drain. Workers are single-threaded on
- * the evaluation path on purpose — fleet parallelism is process-level
- * — which keeps fork() safe and each worker's memory footprint flat
- * (the optional heartbeat thread only writes liveness lines).
+ * dispatcher sends a shutdown line or hangs up. serveFleetUnits is
+ * that loop, transport-agnostic: the forked local worker
+ * (fleetWorkerMain) runs it over its pipe pair, the socket agent
+ * (net/agent) over an authenticated TCP connection with a read
+ * deadline for dead-server detection. Both beat on a background
+ * thread so the dispatcher can tell "busy evaluating" from "dead".
+ * Workers are single-threaded on the evaluation path on purpose —
+ * fleet parallelism is process-level — which keeps fork() safe and
+ * each worker's memory footprint flat.
  */
 
 #ifndef GPUECC_FLEET_WORKER_HPP
@@ -37,20 +38,17 @@ constexpr int kWorkerSetupExit = 4;
 /** How a serveFleetUnits session ended. */
 enum class ServeEnd
 {
-    eof,      //!< dispatcher closed the stream (pipe-mode shutdown)
+    eof,      //!< dispatcher closed the stream without a shutdown
     shutdown, //!< dispatcher sent a shutdown line (graceful drain)
     silent,   //!< read deadline expired: the dispatcher went quiet
     protocol, //!< unreadable/unwritable stream or a garbage line
     setup,    //!< config didn't check out (fingerprint mismatch, ...)
 };
 
-/** Knobs distinguishing the pipe worker from the socket agent. */
+/** Knobs distinguishing the local worker from the socket agent. */
 struct ServeOptions
 {
-    /** Decode session lines (heartbeat/shutdown), not just units. */
-    bool session_lines = false;
-    /** Send heartbeat lines from a background thread. */
-    bool heartbeats = false;
+    /** Interval between heartbeat lines. */
     int heartbeat_interval_ms = 2000;
     /** Max wire silence before ServeEnd::silent; -1 blocks forever. */
     int read_deadline_ms = -1;
@@ -71,13 +69,14 @@ ServeEnd serveFleetUnits(const FleetConfig& cfg, LineReader& in,
                          const ServeOptions& opts);
 
 /**
- * Child-process main loop: serve work units over the pipe pair until
- * EOF on @p read_fd. Returns the process exit code (0 on a normal
- * EOF shutdown). Runs in a forked child — it must not assume any
- * parent thread state and reports every failure as a protocol line
- * before exiting, never via fatal().
+ * Child-process main loop of a forked local worker: serve work units
+ * over the pipe pair, beating every @p heartbeat_interval_ms, until a
+ * shutdown line or EOF on @p read_fd. Returns the process exit code
+ * (0 on a normal shutdown). Runs in a forked child — it must not
+ * assume any parent thread state and reports every failure as a
+ * protocol line before exiting, never via fatal().
  */
-int fleetWorkerMain(int read_fd, int write_fd);
+int fleetWorkerMain(int read_fd, int write_fd, int heartbeat_interval_ms);
 
 } // namespace gpuecc::sim::fleet
 

@@ -121,8 +121,6 @@ serveOnce(const FleetAgentOptions& opts, const std::string& name,
     const int io_ms = std::max(
         1, static_cast<int>(opts.io_timeout_s * 1000.0));
     fleet::ServeOptions serve;
-    serve.session_lines = true;
-    serve.heartbeats = true;
     serve.heartbeat_interval_ms = std::max(
         1, static_cast<int>(opts.heartbeat_interval_s * 1000.0));
     serve.read_deadline_ms = io_ms;

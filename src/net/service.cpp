@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,13 +13,12 @@
 #include "common/log.hpp"
 #include "common/subprocess.hpp"
 #include "fleet/dispatch.hpp"
-#include "fleet/pipe.hpp"
 #include "fleet/protocol.hpp"
+#include "fleet/worker.hpp"
 #include "net/auth.hpp"
 #include "net/obs_http.hpp"
 #include "net/wire.hpp"
 #include "obs/exposition.hpp"
-#include "sim/chaos.hpp"
 #include "sim/report.hpp"
 
 namespace gpuecc::net {
@@ -34,7 +32,11 @@ using Clock = std::chrono::steady_clock;
 /** Budget for each handshake step (a connect is cheap to retry). */
 constexpr int kHandshakeMs = 5000;
 
-/** Idle poll slice: accept loop and idle liaisons wake this often. */
+/**
+ * Poll slice: how often the accept loop wakes, and how long a liaison
+ * waits for its host's next line or for a unit to claim (a requeue or
+ * the last settlement wakes it at once).
+ */
 constexpr int kPollMs = 200;
 
 int
@@ -46,13 +48,44 @@ elapsedMs(Clock::time_point since)
             .count());
 }
 
-/** One authenticated agent connection and its liaison state. */
-struct RemoteHost
+/**
+ * One host and its liaison state: a forked local worker on a pipe
+ * pair, or an authenticated agent on a TCP connection (one fd both
+ * ways).
+ */
+struct Host
 {
-    int fd = -1;
+    int read_fd = -1;
+    int write_fd = -1;
+    std::int64_t pid = -1; //!< local workers only
     std::unique_ptr<LineReader> reader;
     obs::FleetWorkerRecord record;
     std::thread thread;
+
+    /** One line to the host: agents take the chaos-aware wire path,
+        local pipes a plain write. */
+    Status send(const std::string& line, int deadline_ms)
+    {
+        return record.remote ? sendWireLine(write_fd, line, deadline_ms)
+                             : writeAllFd(write_fd, line, deadline_ms);
+    }
+
+    /** Close the connection and reap a local worker (killing it
+        first when it is being retired). */
+    void close(bool kill)
+    {
+        if (write_fd != read_fd)
+            closeFd(write_fd);
+        write_fd = -1;
+        closeFd(read_fd);
+        if (pid < 0)
+            return;
+        if (kill)
+            killChild(pid);
+        Result<int> exit = waitForExit(pid);
+        record.exit_code = exit.ok() ? exit.value() : -1;
+        pid = -1;
+    }
 };
 
 /** The /status document: one DispatchStatus snapshot as JSON. */
@@ -74,14 +107,14 @@ renderStatusJson(const fleet::DispatchStatus& s)
     w.endObject();
     w.kv("trials_done", s.trials_done);
     w.key("fleet").beginObject();
-    w.kv("requeues", s.requeues);
-    w.kv("units_poisoned", s.poisoned);
-    w.kv("duplicate_results", s.duplicates);
-    w.kv("workers_lost", s.workers_lost);
-    w.kv("worker_timeouts", s.worker_timeouts);
-    w.kv("heartbeat_expiries", s.heartbeat_expiries);
-    w.kv("agents_connected", s.agents_connected);
-    w.kv("auth_failures", s.auth_failures);
+    w.kv("requeues", s.fleet.requeues);
+    w.kv("units_poisoned", s.fleet.units_poisoned);
+    w.kv("duplicate_results", s.fleet.duplicate_results);
+    w.kv("workers_lost", s.fleet.workers_lost);
+    w.kv("worker_timeouts", s.fleet.worker_timeouts);
+    w.kv("heartbeat_expiries", s.fleet.heartbeat_expiries);
+    w.kv("agents_connected", s.fleet.agents_connected);
+    w.kv("auth_failures", s.fleet.auth_failures);
     w.endObject();
     w.kv("elapsed_seconds", s.elapsed_seconds);
     w.kv("units_per_second", s.units_per_second);
@@ -119,14 +152,14 @@ renderMetricsText(const fleet::DispatchStatus& s)
         {"fleet.shards_total", s.shards_total},
         {"fleet.shards_done", s.shards_done},
         {"fleet.trials_done", s.trials_done},
-        {"fleet.units_requeued", s.requeues},
-        {"fleet.units_poisoned", s.poisoned},
-        {"fleet.duplicate_results", s.duplicates},
-        {"fleet.workers_lost", s.workers_lost},
-        {"fleet.worker_timeouts", s.worker_timeouts},
-        {"fleet.heartbeat_expiries", s.heartbeat_expiries},
-        {"fleet.agents_connected", s.agents_connected},
-        {"fleet.auth_failures", s.auth_failures},
+        {"fleet.units_requeued", s.fleet.requeues},
+        {"fleet.units_poisoned", s.fleet.units_poisoned},
+        {"fleet.duplicate_results", s.fleet.duplicate_results},
+        {"fleet.workers_lost", s.fleet.workers_lost},
+        {"fleet.worker_timeouts", s.fleet.worker_timeouts},
+        {"fleet.heartbeat_expiries", s.fleet.heartbeat_expiries},
+        {"fleet.agents_connected", s.fleet.agents_connected},
+        {"fleet.auth_failures", s.fleet.auth_failures},
     };
     // Slots merge by label so a reconnecting agent reports one series
     // per metric, same as the finalize-time merge.
@@ -157,24 +190,32 @@ renderMetricsText(const fleet::DispatchStatus& s)
 Result<std::unique_ptr<FleetService>>
 FleetService::create(const sim::CampaignSpec& spec)
 {
-    if (!socketsSupported() || !subprocessSupported()) {
+    if (!subprocessSupported()) {
         return Status::unavailable(
-            "the fleet service needs sockets and fork/pipe, which "
-            "this platform lacks; run without --fleet-listen");
+            "fleet mode needs fork/pipe, which this platform lacks; "
+            "run without --fleet-workers and --fleet-listen");
     }
-    Result<SocketAddress> address =
-        parseSocketAddress(spec.fleet_listen);
-    if (!address.ok())
-        return address.status();
-    Result<TcpListener> listener = TcpListener::listen(address.value());
-    if (!listener.ok())
-        return listener.status();
     auto service = std::unique_ptr<FleetService>(new FleetService());
     service->spec_ = spec;
-    service->listener_ = std::move(listener.value());
+    if (!spec.fleet_listen.empty()) {
+        if (!socketsSupported()) {
+            return Status::unavailable(
+                "the fleet service needs sockets, which this platform "
+                "lacks; run without --fleet-listen");
+        }
+        Result<SocketAddress> address =
+            parseSocketAddress(spec.fleet_listen);
+        if (!address.ok())
+            return address.status();
+        Result<TcpListener> listener =
+            TcpListener::listen(address.value());
+        if (!listener.ok())
+            return listener.status();
+        service->listener_ = std::move(listener.value());
+    }
     // The observability endpoint binds here too, so callers can learn
     // obsPort() before run() — and so its fd exists before the local
-    // standby fork and can go on the children's close list.
+    // workers fork and can go on their close list.
     if (!spec.obs_listen.empty()) {
         Result<SocketAddress> obs_address =
             parseSocketAddress(spec.obs_listen);
@@ -213,35 +254,72 @@ FleetService::run()
     fleet::FleetDispatch& dispatch = *created.value();
 
     // The service always drains on SIGTERM/SIGINT: in-flight units
-    // are requeued, agents get shutdown lines, the partial result is
+    // are requeued, hosts get shutdown lines, the partial result is
     // reported. (The in-process runner installs these only when
-    // checkpointing; a network service should never die mid-write.)
+    // checkpointing; a fleet should never die mid-write.) A write to
+    // a dead host must fail, not kill the parent — and the forked
+    // workers inherit the same disposition.
     ignoreSigpipe();
     installInterruptHandlers();
 
+    const int unit_deadline_ms =
+        spec_.fleet_worker_timeout_s > 0
+            ? static_cast<int>(spec_.fleet_worker_timeout_s * 1000.0)
+            : -1;
+    const int heartbeat_ms = std::max(
+        1, static_cast<int>(spec_.fleet_heartbeat_timeout_s * 1000.0));
+    const int grace_ms = std::max(
+        0, static_cast<int>(spec_.fleet_grace_s * 1000.0));
+
     // ---- Fork phase -------------------------------------------------
-    // Local standby workers fork now, while the process is still
-    // single-threaded; they sit blocked on their config'd pipes until
-    // the degradation ladder engages them (or never, if agents carry
-    // the campaign). The listening socket must not leak into them.
-    // The observability endpoint (bound in create()) serves nothing
-    // until the campaign threads exist, but its fd must go on the
-    // children's close list.
-    const std::uint64_t pending = dispatch.initialPendingUnits();
-    const int local_count =
-        pending == 0 ? 0
-                     : static_cast<int>(std::min<std::uint64_t>(
-                           static_cast<std::uint64_t>(
-                               spec_.fleet_workers),
-                           pending));
-    std::vector<std::unique_ptr<fleet::PipeWorker>> locals;
-    std::vector<int> inherited_fds = {listener_.fd()};
+    // Plan building ran on one thread; the local workers must fork
+    // before the progress reporter or any liaison thread exists, or a
+    // child could inherit a lock some other thread holds. The
+    // listening sockets must not leak into them.
+    std::vector<std::unique_ptr<Host>> hosts;
+    std::vector<int> inherited_fds;
+    if (listener_.fd() >= 0)
+        inherited_fds.push_back(listener_.fd());
     if (obs_server_)
         inherited_fds.push_back(obs_server_->fd());
+    const int local_count = static_cast<int>(std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(spec_.fleet_workers),
+        dispatch.initialPendingUnits()));
+    const int beat_ms = std::max(1, heartbeat_ms / 4);
     for (int w = 0; w < local_count; ++w) {
-        auto worker = std::make_unique<fleet::PipeWorker>();
-        fleet::spawnPipeWorker(dispatch, *worker, w, inherited_fds);
-        locals.push_back(std::move(worker));
+        auto host = std::make_unique<Host>();
+        Host& H = *host;
+        hosts.push_back(std::move(host));
+        H.record.worker = w;
+        Result<ChildProcess> child = spawnChild(
+            [beat_ms](int read_fd, int write_fd) {
+                return fleet::fleetWorkerMain(read_fd, write_fd,
+                                              beat_ms);
+            },
+            inherited_fds);
+        if (!child.ok()) {
+            warn("fleet: cannot fork worker " + std::to_string(w) +
+                 ": " + child.status().toString());
+            H.record.lost = true;
+            continue;
+        }
+        H.pid = H.record.pid = child.value().pid;
+        H.read_fd = child.value().from_child;
+        H.write_fd = child.value().to_child;
+        H.reader = std::make_unique<LineReader>(
+            H.read_fd, fleet::kMaxWireLineBytes);
+        inherited_fds.push_back(H.read_fd);
+        inherited_fds.push_back(H.write_fd);
+        dispatch.registerHost(w, "local-" + std::to_string(w), false);
+        if (Status s = H.send(fleet::encodeConfigLine(
+                                  dispatch.configFor(w)),
+                              -1);
+            !s.ok()) {
+            warn("fleet: worker " + std::to_string(w) +
+                 " rejected its config: " + s.toString());
+            H.record.lost = true;
+            H.close(true);
+        }
     }
 
     // Threads are safe from here on.
@@ -262,97 +340,97 @@ FleetService::run()
         });
     }
 
-    const int unit_deadline_ms =
-        spec_.fleet_worker_timeout_s > 0
-            ? static_cast<int>(spec_.fleet_worker_timeout_s * 1000.0)
-            : -1;
-    const int heartbeat_ms = std::max(
-        1, static_cast<int>(spec_.fleet_heartbeat_timeout_s * 1000.0));
-    const int grace_ms = std::max(
-        0, static_cast<int>(spec_.fleet_grace_s * 1000.0));
+    std::atomic<int> live{0};
 
-    std::atomic<int> active_remote{0};
-    std::atomic<int> active_local{0};
-    std::atomic<bool> draining{false};
-
-    // Retire a remote host: requeue nothing here — callers requeue
-    // the in-flight unit first, with the specific reason.
-    const auto loseHost = [&](RemoteHost& H, const std::string& why) {
-        warn("fleet: losing agent '" + H.record.agent + "' (worker " +
-             std::to_string(H.record.worker) + "): " + why);
-        closeFd(H.fd);
-        H.record.lost = true;
-        dispatch.noteWorkerLost();
-    };
-
-    const auto sendShutdown = [&](RemoteHost& H) {
-        // Best-effort: a host that is already gone just fails the
-        // write, which is fine — we are hanging up either way.
-        (void)sendWireLine(H.fd, fleet::encodeShutdownLine(), 1000);
-        closeFd(H.fd);
-    };
-
-    // One liaison thread per authenticated agent. Mirrors the pipe
-    // liaison, plus the session layer: heartbeats refresh a liveness
+    // One liaison thread per host, local or remote: claim a unit,
+    // round-trip it, settle it. Heartbeats refresh a liveness
     // deadline, silence retires the host, results for units settled
     // elsewhere are discarded as duplicates.
-    const auto runRemoteLiaison = [&](RemoteHost& H) {
+    const auto runLiaison = [&](Host& H) {
         auto last_heard = Clock::now();
 
-        // Read one line while idle or awaiting, watching liveness.
-        // Returns false when the host was lost (liaison must end).
-        const auto classifyDead = [&](const Status& st,
-                                      std::uint64_t* in_flight,
-                                      bool* dead) {
-            *dead = true;
-            if (isDeadlineExpired(st)) {
-                if (elapsedMs(last_heard) < heartbeat_ms) {
-                    *dead = false; // still within its liveness budget
-                    return;
-                }
-                dispatch.noteHeartbeatExpiry();
-                if (in_flight != nullptr)
-                    dispatch.requeueUnit(*in_flight,
-                                         "agent heartbeats stopped");
-                loseHost(H, "heartbeats stopped");
-                return;
-            }
+        // Retire the host, first requeueing its in-flight unit with
+        // the specific reason.
+        const auto lose = [&](const std::uint64_t* in_flight,
+                              const std::string& why) {
             if (in_flight != nullptr)
-                dispatch.requeueUnit(*in_flight, st.toString());
-            loseHost(H, st.toString());
+                dispatch.requeueUnit(*in_flight, why);
+            warn("fleet: losing " +
+                 (H.record.remote ? "agent '" + H.record.agent + "'"
+                                  : std::string("local worker")) +
+                 " (worker " + std::to_string(H.record.worker) +
+                 "): " + why);
+            H.record.lost = true;
+            H.close(true);
+            dispatch.noteWorkerLost();
+        };
+        const auto hangUp = [&] {
+            // Best-effort: a host that is already gone just fails the
+            // write, which is fine — we are hanging up either way.
+            (void)H.send(fleet::encodeShutdownLine(), 1000);
+            H.close(false);
+        };
+
+        // Read one host line within @p slice_ms. Heartbeats and
+        // telemetry are absorbed here; silence past the heartbeat
+        // budget, a broken stream or garbage on it retires the host.
+        enum class Got
+        {
+            message,  //!< a settlement line, in msg
+            absorbed, //!< a heartbeat or telemetry line
+            quiet,    //!< nothing within the slice; host alive
+            lost,     //!< host retired
+        };
+        const auto read = [&](int slice_ms,
+                              const std::uint64_t* in_flight,
+                              fleet::WorkerMessage& msg) {
+            Result<std::string> line = H.reader->readLine(slice_ms);
+            if (!line.ok()) {
+                if (!isDeadlineExpired(line.status())) {
+                    lose(in_flight, line.status().toString());
+                    return Got::lost;
+                }
+                if (elapsedMs(last_heard) < heartbeat_ms)
+                    return Got::quiet;
+                dispatch.noteHeartbeatExpiry();
+                lose(in_flight, "heartbeats stopped");
+                return Got::lost;
+            }
+            last_heard = Clock::now();
+            Result<fleet::WorkerMessage> decoded =
+                fleet::decodeWorkerLine(line.value());
+            if (!decoded.ok()) {
+                lose(in_flight, decoded.status().toString());
+                return Got::lost;
+            }
+            msg = std::move(decoded).value();
+            if (msg.kind == fleet::WorkerMessage::Kind::heartbeat ||
+                msg.kind == fleet::WorkerMessage::Kind::telemetry) {
+                // Telemetry ships ahead of the settlement it
+                // accompanies; both carry a clock sample.
+                dispatch.absorbTelemetry(msg);
+                return Got::absorbed;
+            }
+            return Got::message;
         };
 
         for (;;) {
-            if (interruptRequested() || draining.load() ||
-                dispatch.allSettled()) {
-                sendShutdown(H);
-                break;
+            if (interruptRequested() || dispatch.allSettled()) {
+                hangUp();
+                return;
             }
             std::uint64_t u = 0;
-            if (!dispatch.tryClaim(u)) {
-                // Nothing to hand out right now (the last units are
-                // in flight elsewhere): drain heartbeats and stray
-                // telemetry, watch for silence, stay subscribed.
-                Result<std::string> line = H.reader->readLine(kPollMs);
-                if (line.ok()) {
-                    last_heard = Clock::now();
-                    Result<fleet::WorkerMessage> idle =
-                        fleet::decodeWorkerLine(line.value());
-                    if (idle.ok()) {
-                        if (idle.value().kind ==
-                            fleet::WorkerMessage::Kind::telemetry)
-                            dispatch.absorbTelemetry(idle.value());
-                        else if (idle.value().kind ==
-                                 fleet::WorkerMessage::Kind::heartbeat)
-                            dispatch.noteHeartbeat(
-                                idle.value().worker,
-                                idle.value().now_us);
-                    }
-                    continue;
-                }
-                bool dead = false;
-                classifyDead(line.status(), nullptr, &dead);
-                if (dead)
+            if (!dispatch.waitClaim(u,
+                                    std::chrono::milliseconds(kPollMs))) {
+                // Nothing to hand out (the last units are in flight
+                // elsewhere): drain what the host sent meanwhile and
+                // watch its liveness. Settlement lines without a unit
+                // in flight are stray and ignored.
+                fleet::WorkerMessage stray;
+                Got got = Got::absorbed;
+                while (got == Got::absorbed || got == Got::message)
+                    got = read(0, nullptr, stray);
+                if (got == Got::lost)
                     return;
                 continue;
             }
@@ -360,28 +438,25 @@ FleetService::run()
             const fleet::WorkUnit& unit = dispatch.unit(u);
             dispatch.noteUnitDispatched(u, H.record.worker);
             const auto dispatch_at = Clock::now();
-            if (Status sent = sendWireLine(
-                    H.fd, fleet::encodeUnitLine(unit), heartbeat_ms);
+            if (Status sent =
+                    H.send(fleet::encodeUnitLine(unit), heartbeat_ms);
                 !sent.ok()) {
-                dispatch.requeueUnit(u, sent.toString());
-                loseHost(H, sent.toString());
+                lose(&u, sent.toString());
                 return;
             }
 
             for (;;) { // await this unit's settlement
-                if (interruptRequested() || draining.load()) {
+                if (interruptRequested()) {
                     dispatch.requeueUnit(
                         u, "graceful drain with the unit in flight");
-                    sendShutdown(H);
+                    hangUp();
                     return;
                 }
                 if (unit_deadline_ms > 0 &&
                     elapsedMs(dispatch_at) >= unit_deadline_ms) {
                     dispatch.noteWorkerTimeout();
-                    dispatch.requeueUnit(u, "unit round-trip deadline");
-                    loseHost(H, "unit " + std::to_string(u) +
-                                    " exceeded its round-trip "
-                                    "deadline");
+                    lose(&u, "unit " + std::to_string(u) +
+                                 " exceeded its round-trip deadline");
                     return;
                 }
                 int slice = kPollMs;
@@ -390,71 +465,41 @@ FleetService::run()
                         slice, std::max(1, unit_deadline_ms -
                                                elapsedMs(dispatch_at)));
                 }
-                Result<std::string> line = H.reader->readLine(slice);
-                if (!line.ok()) {
-                    bool dead = false;
-                    classifyDead(line.status(), &u, &dead);
-                    if (dead)
-                        return;
-                    continue;
-                }
-                last_heard = Clock::now();
-                Result<fleet::WorkerMessage> decoded =
-                    fleet::decodeWorkerLine(line.value());
-                if (!decoded.ok()) {
-                    // Garbage on an authenticated stream: treat the
-                    // host as corrupt, not the campaign.
-                    dispatch.requeueUnit(u,
-                                         decoded.status().toString());
-                    loseHost(H, decoded.status().toString());
+                fleet::WorkerMessage msg;
+                const Got got = read(slice, &u, msg);
+                if (got == Got::lost)
                     return;
-                }
-                const fleet::WorkerMessage& msg = decoded.value();
-                if (msg.kind ==
-                    fleet::WorkerMessage::Kind::heartbeat) {
-                    dispatch.noteHeartbeat(msg.worker, msg.now_us);
+                if (got != Got::message)
                     continue;
-                }
-                if (msg.kind ==
-                    fleet::WorkerMessage::Kind::telemetry) {
-                    // Shipped ahead of the settlement it accompanies;
-                    // merge and keep awaiting.
-                    dispatch.absorbTelemetry(msg);
-                    continue;
-                }
                 if (msg.kind ==
                     fleet::WorkerMessage::Kind::worker_error) {
-                    dispatch.requeueUnit(u, msg.message);
-                    loseHost(H, msg.message);
+                    lose(&u, msg.message);
                     return;
                 }
-                if (msg.kind ==
-                    fleet::WorkerMessage::Kind::unit_error) {
-                    dispatch.failUnit(msg.unit, msg.message);
-                    if (msg.unit == u)
-                        break;
-                    continue;
+                if (msg.kind == fleet::WorkerMessage::Kind::unit_error) {
+                    // The cell failed persistently inside the host —
+                    // graceful degradation, the scheme is dropped. A
+                    // unit_error is only ever about the unit in
+                    // flight: any other index is a broken peer.
+                    if (msg.unit != u) {
+                        lose(&u, "unit_error names unit " +
+                                     std::to_string(msg.unit) +
+                                     ", not the unit in flight");
+                        return;
+                    }
+                    dispatch.failUnit(u, msg.message);
+                    break;
                 }
                 // A result line. It may name a unit other than the
                 // one in flight — a replayed or duplicated delivery
                 // for a unit that settled elsewhere. completeUnit
                 // discards those idempotently (fleet.duplicate_results).
-                if (msg.unit >= dispatch.unitCount()) {
-                    dispatch.requeueUnit(u, "result names unknown unit " +
-                                                std::to_string(msg.unit));
-                    loseHost(H, "result for unknown unit");
-                    return;
-                }
-                if (Status valid =
-                        dispatch.validateResult(msg.unit, msg);
+                if (Status valid = dispatch.validateResult(msg);
                     !valid.ok()) {
-                    dispatch.requeueUnit(u, valid.toString());
-                    loseHost(H, valid.toString());
+                    lose(&u, valid.toString());
                     return;
                 }
-                const auto done_at = Clock::now();
-                if (dispatch.completeUnit(msg.unit, msg, dispatch_at,
-                                          done_at) &&
+                if (dispatch.completeUnit(msg, dispatch_at, Clock::now()) &&
                     msg.unit == u) {
                     H.record.units += 1;
                     H.record.shards += unit.task_count;
@@ -469,17 +514,28 @@ FleetService::run()
             }
         }
     };
+    const auto startLiaison = [&](Host& H) {
+        live.fetch_add(1);
+        H.thread = std::thread([&runLiaison, &live, &H] {
+            runLiaison(H);
+            live.fetch_sub(1);
+        });
+    };
+    for (auto& host : hosts) {
+        if (!host->record.lost)
+            startLiaison(*host);
+    }
 
     // Challenge-response handshake on a fresh connection; fills the
     // host's record (worker index, agent name) and primes its reader.
-    const auto handshake = [&](int fd,
-                               RemoteHost& H) -> Status {
-        H.fd = fd;
+    const auto handshake = [&](int fd, Host& H) -> Status {
+        H.read_fd = H.write_fd = fd;
+        H.record.remote = true;
         H.reader = std::make_unique<LineReader>(
             fd, fleet::kMaxWireLineBytes);
         const std::string nonce = makeNonceHex();
-        if (Status s = sendWireLine(
-                fd, fleet::encodeChallengeLine(nonce), kHandshakeMs);
+        if (Status s = H.send(fleet::encodeChallengeLine(nonce),
+                              kHandshakeMs);
             !s.ok())
             return s;
         Result<std::string> line = H.reader->readLine(kHandshakeMs);
@@ -493,8 +549,7 @@ FleetService::run()
                 auth.value().mac,
                 agentMac(spec_.fleet_secret, nonce,
                          auth.value().agent))) {
-            (void)sendWireLine(
-                fd,
+            (void)H.send(
                 fleet::encodeAuthErrorLine("authentication failed"),
                 1000);
             return Status::failedPrecondition(
@@ -502,20 +557,16 @@ FleetService::run()
                 "' failed authentication");
         }
         H.record.agent = auth.value().agent;
-        H.record.remote = true;
-        if (Status s = sendWireLine(
-                fd,
+        if (Status s = H.send(
                 fleet::encodeWelcomeLine(
                     H.record.worker,
                     serverMac(spec_.fleet_secret, nonce)),
                 kHandshakeMs);
             !s.ok())
             return s;
-        if (Status s = sendWireLine(
-                fd,
-                fleet::encodeConfigLine(
-                    dispatch.configFor(H.record.worker)),
-                kHandshakeMs);
+        if (Status s = H.send(fleet::encodeConfigLine(
+                                  dispatch.configFor(H.record.worker)),
+                              kHandshakeMs);
             !s.ok())
             return s;
         // Registration is the clock-rebasing reference: the host's
@@ -525,98 +576,52 @@ FleetService::run()
         return Status{};
     };
 
-    // ---- Accept / lifecycle loop ------------------------------------
-    std::vector<std::unique_ptr<RemoteHost>> hosts;
+    // ---- Accept loop ------------------------------------------------
+    // Degradation ladder: with no live host for the grace window, the
+    // remaining units finish in-process below.
     int agent_seq = 0;
-    bool locals_engaged = false;
-    auto last_activity = Clock::now();
-
-    while (pending != 0) {
-        if (interruptRequested() || dispatch.allSettled())
+    auto last_live = Clock::now();
+    while (listener_.fd() >= 0 && !interruptRequested() &&
+           !dispatch.allSettled()) {
+        if (live.load() > 0) {
+            last_live = Clock::now();
+        } else if (elapsedMs(last_live) >= grace_ms) {
+            warn("fleet: no live host for " +
+                 std::to_string(grace_ms / 1000) +
+                 "s; finishing the remaining units in-process");
             break;
-
-        // Degradation ladder: no connected agent for the grace window
-        // engages the local standby workers; when those are gone too
-        // (or never existed), fall through to in-process completion.
-        if (active_remote.load() == 0 &&
-            elapsedMs(last_activity) >= grace_ms) {
-            if (!locals_engaged) {
-                locals_engaged = true;
-                last_activity = Clock::now();
-                int engaged = 0;
-                for (auto& worker : locals) {
-                    if (!worker->spawned)
-                        continue;
-                    active_local.fetch_add(1);
-                    ++engaged;
-                    worker->thread = std::thread(
-                        [&dispatch, &active_local,
-                         unit_deadline_ms](fleet::PipeWorker& w) {
-                            fleet::runPipeLiaison(dispatch, w,
-                                                  unit_deadline_ms);
-                            active_local.fetch_sub(1);
-                        },
-                        std::ref(*worker));
-                }
-                if (engaged > 0) {
-                    warn("fleet: no agent connected for " +
-                         std::to_string(grace_ms / 1000) +
-                         "s; engaging " + std::to_string(engaged) +
-                         " local standby worker(s)");
-                    continue;
-                }
-            }
-            if (active_local.load() == 0) {
-                warn("fleet: no remote or local host left; finishing "
-                     "the remaining units in-process");
-                break;
-            }
         }
-
         Result<int> accepted = listener_.accept(kPollMs);
         if (!accepted.ok()) {
             if (isDeadlineExpired(accepted.status()))
                 continue;
             warn("fleet: accept failed: " +
-                 accepted.status().toString());
+                 accepted.status().toString() +
+                 "; serving the connected hosts only");
             break;
         }
-
-        auto host = std::make_unique<RemoteHost>();
+        auto host = std::make_unique<Host>();
         host->record.worker = spec_.fleet_workers + agent_seq;
         if (Status s = handshake(accepted.value(), *host); !s.ok()) {
             if (s.code() == ErrorCode::failedPrecondition)
                 dispatch.noteAuthFailure();
             warn("fleet: rejecting connection: " + s.toString());
-            closeFd(host->fd);
+            host->close(false);
             continue;
         }
         ++agent_seq;
-        last_activity = Clock::now();
-        dispatch.noteAgentConnected();
-        active_remote.fetch_add(1);
-        RemoteHost& H = *host;
-        H.thread = std::thread([&runRemoteLiaison, &active_remote,
-                                &H]() {
-            runRemoteLiaison(H);
-            active_remote.fetch_sub(1);
-        });
+        startLiaison(*host);
         hosts.push_back(std::move(host));
     }
 
     // ---- Drain ------------------------------------------------------
-    draining.store(true);
+    // Liaisons end on their own: when the campaign settles, on an
+    // interrupt (requeueing their unit), or with their host lost.
     listener_.close();
     for (auto& host : hosts) {
         if (host->thread.joinable())
             host->thread.join();
     }
-    for (auto& worker : locals) {
-        if (worker->thread.joinable())
-            worker->thread.join();
-    }
-    for (auto& worker : locals)
-        fleet::reapPipeWorker(*worker);
 
     // Last rung: whatever is still pending runs right here. A no-op
     // when the campaign settled or an interrupt asked us to stop.
@@ -628,14 +633,9 @@ FleetService::run()
         obs_server_->stop();
 
     std::vector<obs::FleetWorkerRecord> records;
-    for (const auto& worker : locals)
-        records.push_back(worker->record);
     for (const auto& host : hosts)
         records.push_back(host->record);
-    // Count before the move: argument evaluation order is unspecified,
-    // so records.size() inside the call could see the moved-out vector.
-    const int worker_count = static_cast<int>(records.size());
-    return dispatch.finalize(worker_count, std::move(records));
+    return dispatch.finalize(std::move(records));
 }
 
 Result<sim::CampaignResult>

@@ -1,34 +1,43 @@
 /**
  * @file
- * Failure-hardened multi-host fleet campaign service.
+ * The fleet driver: one liaison loop for local workers and remote
+ * agents alike.
  *
- * FleetService runs a campaign as a TCP server: it binds
- * spec.fleet_listen, streams the fleet wire protocol to remote agent
- * processes (tools/fleet_agent) that connect, and merges their
- * checkpoint-format results through the same FleetDispatch core as
- * the pipe transport — so the tallies and the CSV report are
- * bit-identical to an in-process run of the same spec, no matter how
- * hosts come and go.
+ * FleetService runs every fleet campaign. It forks spec.fleet_workers
+ * local worker processes (pipe pairs) and, given spec.fleet_listen,
+ * also serves the same newline-JSON session protocol over TCP to
+ * remote agent processes (tools/fleet_agent). Every host gets one
+ * liaison thread running the same loop over the FleetDispatch core,
+ * so the tallies and the CSV report are bit-identical to an
+ * in-process run of the same spec, no matter how hosts come and go.
+ * The two kinds of host differ only at the edges: a local worker
+ * skips the handshake and is written with plain pipe writes (so the
+ * net_* chaos faults hit only TCP lines); an agent authenticates
+ * first and every line to it takes the chaos-aware wire path.
  *
  * Liveness and failure model:
- *  - Every connection is authenticated with an HMAC challenge-response
- *    over spec.fleet_secret before any plan data moves (net/auth.hpp);
- *    a failed proof is rejected and counted (fleet.auth_failures).
- *  - Agents heartbeat while evaluating; a host silent past
- *    spec.fleet_heartbeat_timeout_s is retired and its in-flight unit
- *    requeued (fleet.heartbeat_expiries). An optional per-unit
- *    round-trip deadline (spec.fleet_worker_timeout_s) catches hosts
- *    that beat but never answer (fleet.worker_timeouts).
- *  - Requeues are capped (spec.fleet_max_unit_attempts): a poison
+ *  - Every TCP connection is authenticated with an HMAC
+ *    challenge-response over spec.fleet_secret before any plan data
+ *    moves (net/auth.hpp); a failed proof is rejected and counted
+ *    (fleet.auth_failures).
+ *  - Hosts heartbeat every spec.fleet_heartbeat_timeout_s / 4 (agents
+ *    at their own configured interval); a host silent past the
+ *    timeout is retired and its in-flight unit requeued
+ *    (fleet.heartbeat_expiries). An optional per-unit round-trip
+ *    deadline (spec.fleet_worker_timeout_s) catches hosts that beat
+ *    but never answer (fleet.worker_timeouts).
+ *  - A host that dies, breaks protocol, or answers a unit_error for
+ *    a unit it does not hold is retired and its unit requeued.
+ *    Requeues are capped (spec.fleet_max_unit_attempts): a poison
  *    unit is retired into the report instead of cycling forever.
- *  - Degradation ladder: when no agent is connected for
- *    spec.fleet_grace_s, the service engages its local standby forked
- *    workers (spec.fleet_workers of them); when those are gone too,
- *    it finishes the remaining units in-process. The campaign
- *    completes unless interrupted.
+ *  - Degradation ladder: hosts, then in-process. Without a listen
+ *    address the last lost worker hands the remaining units to the
+ *    parent at once; with one, the service first waits
+ *    spec.fleet_grace_s with no live host for an agent to
+ *    (re)connect. The campaign completes unless interrupted.
  *  - SIGTERM/SIGINT drain gracefully: in-flight units are requeued
- *    into the final checkpoint, agents get shutdown lines, and the
- *    partial result is reported — same contract as the pipe transport.
+ *    into the final checkpoint, hosts get shutdown lines, and the
+ *    partial result is reported.
  */
 
 #ifndef GPUECC_NET_SERVICE_HPP
@@ -48,10 +57,10 @@ class FleetService
 {
   public:
     /**
-     * Validate the spec and bind the listener (spec.fleet_listen,
-     * port 0 for an ephemeral port). Binding before run() lets a
-     * caller learn port() first and point agents at it — tests and
-     * scripts launch agents before the campaign plan finishes
+     * Validate the spec and bind the listener when spec.fleet_listen
+     * names one (port 0 for an ephemeral port). Binding before run()
+     * lets a caller learn port() first and point agents at it — tests
+     * and scripts launch agents before the campaign plan finishes
      * building, and the connects simply wait in the backlog.
      */
     static Result<std::unique_ptr<FleetService>>
@@ -59,7 +68,8 @@ class FleetService
 
     ~FleetService();
 
-    /** The bound port (the ephemeral one when the spec said 0). */
+    /** The bound port (the ephemeral one when the spec said 0); 0
+        without a listen address. */
     int port() const { return listener_.port(); }
 
     /**
@@ -72,8 +82,8 @@ class FleetService
 
     /**
      * Run the campaign to completion (or interrupt). Call once, while
-     * the process is single-threaded — local standby workers are
-     * forked inside. Returns the merged campaign result; errors are
+     * the process is single-threaded — the local workers are forked
+     * inside. Returns the merged campaign result; errors are
      * unrecoverable setup problems only.
      */
     Result<sim::CampaignResult> run();
@@ -87,7 +97,7 @@ class FleetService
     bool ran_ = false;
 };
 
-/** Convenience: create + run (the campaign runner's entry point). */
+/** create + run: the campaign runner's entry point for fleet mode. */
 Result<sim::CampaignResult>
 runFleetService(const sim::CampaignSpec& spec);
 

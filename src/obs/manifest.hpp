@@ -95,7 +95,6 @@ struct FleetTelemetry
     int workers = 0;
     std::uint64_t units = 0;        //!< work units in the plan
     std::uint64_t unit_shards = 0;  //!< shard tasks per unit (max)
-    std::uint64_t queue_capacity = 0;
     /** Units re-queued after a worker died mid-unit. */
     std::uint64_t requeues = 0;
     std::uint64_t workers_lost = 0;

@@ -67,30 +67,31 @@ struct CampaignSpec
     bool affinity = false;
 
     /**
-     * Fleet mode: number of worker *processes* to fork and dispatch
-     * work units to over pipes (src/fleet). 0 (the default) runs the
-     * campaign in-process on the thread pool. Tallies and the CSV
-     * report are bit-identical either way — fleet mode only changes
-     * who evaluates each shard, never what is drawn. Requires a
-     * platform with fork/pipe; elsewhere tryRun reports unavailable.
+     * Fleet mode: number of local worker *processes* to fork and
+     * dispatch work units to over pipes (src/fleet, driven by the
+     * fleet service in src/net). 0 (the default) runs the campaign
+     * in-process on the thread pool, unless fleet_listen is set.
+     * Tallies and the CSV report are bit-identical either way — fleet
+     * mode only changes who evaluates each shard, never what is
+     * drawn. Requires a platform with fork/pipe; elsewhere tryRun
+     * reports unavailable.
      */
     int fleet_workers = 0;
     /**
      * Shard tasks per fleet work unit — the dispatch granularity.
-     * Larger units amortize pipe round-trips; smaller units balance
+     * Larger units amortize round-trips; smaller units balance
      * better and lose less to a killed worker (a lost worker's
      * in-flight unit is re-queued whole).
      */
     std::uint64_t fleet_unit_shards = 4;
 
     /**
-     * Fleet service mode: a "host:port" address to listen on for
-     * remote worker agents (tools/fleet_agent); empty (the default)
-     * disables the socket service. Port 0 binds an ephemeral port
-     * (tests read it back). In service mode fleet_workers is the
-     * *local standby* worker count — forked but left idle, engaged
-     * only if every remote agent is lost (and with 0 of them the
-     * service degrades all the way to in-process execution).
+     * A "host:port" address to also serve the campaign on to remote
+     * worker agents (tools/fleet_agent); empty (the default) serves
+     * local workers only. Port 0 binds an ephemeral port (tests read
+     * it back). Agents and the fleet_workers local workers share the
+     * work through one liaison loop; with 0 local workers the agents
+     * carry the campaign alone.
      */
     std::string fleet_listen;
     /**
@@ -105,20 +106,23 @@ struct CampaignSpec
      * declared hung — the host is retired (killed, for a local
      * worker) and the unit requeued. 0 (the default) disables the
      * deadline: a unit's evaluation time is spec-dependent and the
-     * caller knows the scale. Applies to both pipe and socket
-     * transports.
+     * caller knows the scale. Applies to local workers and agents
+     * alike.
      */
     double fleet_worker_timeout_s = 0.0;
     /**
      * Seconds of wire silence (no result, no heartbeat) before the
-     * service declares a remote agent dead and requeues its in-flight
-     * unit. Agents beat at a quarter of this interval.
+     * fleet declares a host dead and requeues its in-flight unit.
+     * Local workers beat at a quarter of this interval; agents at
+     * their own configured interval.
      */
     double fleet_heartbeat_timeout_s = 10.0;
     /**
-     * Seconds the service keeps work parked for remote agents while
-     * none is connected before degrading: engage the local standby
-     * workers, or — with none configured — finish in-process.
+     * Seconds with no live host (local worker or agent) before a
+     * fleet_listen campaign stops waiting for agents to (re)connect
+     * and finishes the remaining units in-process. Without a listen
+     * address no host can arrive, so the last lost worker hands over
+     * at once.
      */
     double fleet_grace_s = 30.0;
     /**
@@ -129,7 +133,7 @@ struct CampaignSpec
 
     /**
      * Live observability endpoint ("HOST:PORT"; empty disables).
-     * Fleet modes serve read-only Prometheus text at /metrics and
+     * Fleet campaigns serve read-only Prometheus text at /metrics and
      * campaign status JSON at /status on this address, safe to curl
      * mid-campaign without perturbing determinism.
      */

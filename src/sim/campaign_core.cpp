@@ -1,0 +1,516 @@
+#include "sim/campaign_core.hpp"
+
+#include <algorithm>
+#include <exception>
+#include <set>
+
+#include "common/codec_mode.hpp"
+#include "common/interrupt.hpp"
+#include "common/log.hpp"
+#include "ecc/registry.hpp"
+#include "obs/trace.hpp"
+#include "sim/chaos.hpp"
+
+namespace gpuecc::sim {
+
+namespace {
+
+/** campaign.shard_retries, counted by every evaluation path. */
+obs::MetricId
+shardRetriesMetric()
+{
+    static const obs::MetricId id =
+        obs::metrics().counter("campaign.shard_retries");
+    return id;
+}
+
+void
+atomicMin(std::atomic<std::uint64_t>& slot, std::uint64_t value)
+{
+    std::uint64_t cur = slot.load(std::memory_order_relaxed);
+    while (value < cur &&
+           !slot.compare_exchange_weak(cur, value,
+                                       std::memory_order_relaxed)) {
+    }
+}
+
+void
+atomicMax(std::atomic<std::uint64_t>& slot, std::uint64_t value)
+{
+    std::uint64_t cur = slot.load(std::memory_order_relaxed);
+    while (value > cur &&
+           !slot.compare_exchange_weak(cur, value,
+                                       std::memory_order_relaxed)) {
+    }
+}
+
+} // namespace
+
+Result<CampaignPlan>
+CampaignPlan::build(const std::vector<std::string>& scheme_ids,
+                    const std::vector<ErrorPattern>& patterns,
+                    std::uint64_t samples, std::uint64_t seed,
+                    std::uint64_t chunk,
+                    std::vector<CampaignError>& skipped)
+{
+    // Register before any evaluating thread exists — the
+    // register-before-spawn contract of the lock-free metric path.
+    shardRetriesMetric();
+
+    CampaignPlan plan;
+    plan.patterns = patterns;
+    plan.samples = samples;
+    plan.seed = seed;
+    plan.chunk = chunk;
+    // decode() is const and thread-safe, so one scheme instance serves
+    // every worker.
+    for (const std::string& id : scheme_ids) {
+        // Covers codec (table) construction and golden derivation.
+        obs::TraceSpan span("codec:" + id, "codec");
+        Result<std::shared_ptr<EntryScheme>> scheme = findScheme(id);
+        if (!scheme.ok()) {
+            warn("campaign: skipping scheme " + id + ": " +
+                 scheme.status().toString());
+            skipped.push_back({id, scheme.status().toString()});
+            continue;
+        }
+        plan.schemes.push_back(scheme.value());
+        plan.goldens.push_back(makeGolden(*plan.schemes.back(), seed));
+        plan.ids.push_back(id);
+    }
+    if (plan.schemes.empty())
+        return Status::notFound(
+            "no scheme in the spec could be constructed");
+
+    obs::TraceSpan span("plan", "campaign");
+    for (std::size_t s = 0; s < plan.schemes.size(); ++s) {
+        for (std::size_t p = 0; p < patterns.size(); ++p) {
+            const std::size_t cell = s * patterns.size() + p;
+            for (const Shard& shard :
+                 planShards(patterns[p], samples, chunk))
+                plan.tasks.push_back({cell, shard});
+        }
+    }
+    return plan;
+}
+
+std::string
+CampaignPlan::fingerprint() const
+{
+    return campaignFingerprint(ids, patterns, samples, seed, chunk,
+                               codecBackendName(), tasks.size());
+}
+
+Status
+CampaignPlan::checkTally(std::uint64_t task,
+                         const OutcomeCounts& counts) const
+{
+    if (task >= tasks.size()) {
+        return Status::dataLoss("task " + std::to_string(task) +
+                                " is outside the plan");
+    }
+    const Shard& shard = tasks[task].shard;
+    const bool enumerable = patternIsEnumerable(shard.pattern);
+    if (counts.exhaustive != enumerable ||
+        (!enumerable && counts.trials != shard.end - shard.begin)) {
+        return Status::dataLoss("task " + std::to_string(task) +
+                                " tallies don't match its shard");
+    }
+    return {};
+}
+
+Result<OutcomeCounts>
+CampaignPlan::evaluateTask(std::uint64_t task,
+                           ShardBatchArena& arena) const
+{
+    const std::size_t scheme = schemeOf(task);
+    const auto attempt = [&] {
+        chaosOnTaskAttempt(task);
+        return evaluateShardBatched(*schemes[scheme], goldens[scheme],
+                                    seed, tasks[task].shard, arena);
+    };
+    try {
+        return attempt();
+    } catch (const std::exception& first) {
+        // Transient faults (chaos, OOM churn) get one retry; a second
+        // failure fails the cell, not the campaign.
+        obs::metrics().add(shardRetriesMetric());
+        warn("campaign: shard task " + std::to_string(task) +
+             " failed (" + first.what() + "); retrying once");
+    }
+    try {
+        return attempt();
+    } catch (const std::exception& second) {
+        return Status::internalError("shard task " +
+                                     std::to_string(task) +
+                                     " failed twice: " + second.what());
+    }
+}
+
+/** Per-scheme clocks; µs since evaluation start. */
+struct CampaignCore::SchemeClock
+{
+    std::atomic<std::uint64_t> busy_us{0};
+    std::atomic<std::uint64_t> trials{0};
+    std::atomic<std::uint64_t> shards{0};
+    std::atomic<std::uint64_t> first_us{~std::uint64_t{0}};
+    std::atomic<std::uint64_t> last_us{0};
+    /** Tasks not yet disposed of; 0 means the scheme is done. */
+    std::atomic<std::uint64_t> pending{0};
+};
+
+CampaignCore::~CampaignCore() = default;
+
+Result<std::unique_ptr<CampaignCore>>
+CampaignCore::create(const CampaignSpec& spec, Driver driver,
+                     int threads, std::uint64_t width)
+{
+    auto core = std::unique_ptr<CampaignCore>(new CampaignCore());
+    CampaignCore& c = *core;
+    c.name_ = driver == Driver::fleet ? "fleet" : "campaign";
+    obs::MetricsRegistry& reg = obs::metrics();
+    c.checkpoint_flushes_ = reg.counter(c.name_ + ".checkpoint_flushes");
+    c.checkpoint_failures_ =
+        reg.counter(c.name_ + ".checkpoint_failures");
+    c.schemes_dropped_ = reg.counter(c.name_ + ".schemes_dropped");
+    // Flush this thread first so the baseline holds everything older
+    // runs recorded and since() isolates exactly this run's activity.
+    reg.flushThisThread();
+    c.metrics_baseline_ = reg.snapshot();
+
+    CampaignResult& result = c.result_;
+    result.spec = spec;
+    result.spec.threads = threads;
+    result.codec_backend = codecBackendName();
+
+    // The chunk may shrink so short runs still feed every slot;
+    // tallies are chunk-invariant, so the report is unaffected. The
+    // fingerprint records the *effective* chunk: it fixes the task
+    // indexing a checkpoint records and, unlike the requested chunk,
+    // can differ between two invocations of the same spec.
+    Result<CampaignPlan> plan = CampaignPlan::build(
+        spec.scheme_ids, spec.resolvedPatterns(), spec.samples,
+        spec.seed,
+        effectiveShardChunk(spec.samples, spec.chunk,
+                            static_cast<int>(width)),
+        result.errors);
+    if (!plan.ok())
+        return plan.status();
+    c.plan_ = std::move(plan).value();
+    for (const std::string& id : c.plan_.ids) {
+        for (ErrorPattern p : c.plan_.patterns)
+            result.cells.push_back({id, p, OutcomeCounts{}});
+    }
+    result.shards = c.plan_.tasks.size();
+
+    c.restored_.assign(c.plan_.tasks.size(), 0);
+    c.cell_failed_.reset(new std::atomic<bool>[result.cells.size()]);
+    for (std::size_t i = 0; i < result.cells.size(); ++i)
+        c.cell_failed_[i].store(false, std::memory_order_relaxed);
+    c.clocks_.reset(new SchemeClock[c.plan_.schemes.size()]);
+
+    c.checkpointing_ = !spec.checkpoint_path.empty();
+    if (c.checkpointing_) {
+        // From here on SIGINT/SIGTERM mean "finish in-flight shards,
+        // flush, exit" rather than dying mid-write.
+        installInterruptHandlers();
+        c.fingerprint_ = c.plan_.fingerprint();
+        c.partial_.resize(c.plan_.tasks.size());
+        const obs::BuildInfo build = obs::buildInfo();
+        c.ckpt_manifest_.push_back({"threads", std::to_string(threads)});
+        if (driver == Driver::fleet)
+            c.ckpt_manifest_.push_back(
+                {"fleet_workers", std::to_string(spec.fleet_workers)});
+        c.ckpt_manifest_.insert(
+            c.ckpt_manifest_.end(),
+            {{"codec_backend", result.codec_backend},
+             {"build_type", build.build_type},
+             {"compiler", build.compiler},
+             {"platform", build.platform},
+             {"chaos", obs::chaosEnvText()}});
+    }
+    return core;
+}
+
+Result<std::vector<CheckpointEntry>>
+CampaignCore::loadResume()
+{
+    if (!checkpointing_ || !result_.spec.resume)
+        return std::vector<CheckpointEntry>{};
+    obs::TraceSpan span("resume-load", "campaign");
+    const std::string& path = result_.spec.checkpoint_path;
+    Result<CampaignCheckpoint> loaded = loadCheckpoint(path);
+    if (loaded.status().code() == ErrorCode::notFound) {
+        inform(name_ + ": no checkpoint at " + path +
+               "; starting fresh");
+        return std::vector<CheckpointEntry>{};
+    }
+    if (!loaded.ok())
+        return loaded.status();
+    CampaignCheckpoint& ckpt = loaded.value();
+    if (ckpt.fingerprint != fingerprint_) {
+        return Status::failedPrecondition(
+            "checkpoint " + path +
+            " was written by a different campaign\n  theirs: " +
+            ckpt.fingerprint + "\n  ours:   " + fingerprint_);
+    }
+    for (const CheckpointEntry& entry : ckpt.done) {
+        if (Status s = plan_.checkTally(entry.task, entry.counts);
+            !s.ok())
+            return Status::dataLoss("checkpoint " + path + ": " +
+                                    s.message());
+    }
+    resume_found_ = true;
+    return std::move(ckpt.done);
+}
+
+void
+CampaignCore::restore(const CheckpointEntry& entry)
+{
+    // Restored tallies merge into their cell right away; merge order
+    // against the fresh shards is irrelevant (commutative,
+    // associative, same exactness per cell).
+    result_.cells[plan_.tasks[entry.task].cell].counts.merge(
+        entry.counts);
+    restored_[entry.task] = 1;
+    ++result_.resumed_shards;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (checkpointing_)
+        partial_[entry.task] = entry.counts;
+    completed_.push_back(entry.task);
+}
+
+void
+CampaignCore::start()
+{
+    require(!started_, name_ + ": campaign started twice");
+    started_ = true;
+    if (resume_found_) {
+        inform(name_ + ": resumed " +
+               std::to_string(result_.resumed_shards) + " of " +
+               std::to_string(plan_.tasks.size()) +
+               " shard tasks from " + result_.spec.checkpoint_path);
+    }
+    // The progress denominator and the per-scheme countdowns cover
+    // only the work this run will evaluate (restored tasks excluded).
+    obs::ProgressTotals totals;
+    totals.schemes = plan_.schemes.size();
+    for (std::uint64_t i = 0; i < plan_.tasks.size(); ++i) {
+        if (restored_[i] != 0)
+            continue;
+        clocks_[plan_.schemeOf(i)].pending.fetch_add(
+            1, std::memory_order_relaxed);
+        ++totals.shards;
+    }
+    progress_ =
+        std::make_unique<obs::ProgressReporter>(result_.spec.progress, totals);
+    for (std::size_t s = 0; s < plan_.schemes.size(); ++s) {
+        if (clocks_[s].pending.load(std::memory_order_relaxed) == 0)
+            progress_->schemeDone(); // fully restored from checkpoint
+    }
+    cpu_start_ =
+        obs::processCpuSeconds() + obs::processChildrenCpuSeconds();
+    start_at_ = Clock::now();
+    trace_eval_start_us_ = obs::traceNowUs();
+    // The first flush interval starts here, after any restore.
+    std::lock_guard<std::mutex> lock(mutex_);
+    last_flush_ = start_at_;
+}
+
+void
+CampaignCore::settle(std::size_t scheme, std::uint64_t tasks)
+{
+    if (clocks_[scheme].pending.fetch_sub(
+            tasks, std::memory_order_relaxed) == tasks)
+        progress_->schemeDone();
+}
+
+void
+CampaignCore::complete(const std::vector<CheckpointEntry>& entries,
+                       std::uint64_t busy_us, Clock::time_point began,
+                       Clock::time_point ended)
+{
+    if (entries.empty())
+        return;
+    // Telemetry: relaxed atomics only — nothing here can reorder work
+    // or touch the tallies.
+    const std::size_t scheme = plan_.schemeOf(entries.front().task);
+    SchemeClock& clock = clocks_[scheme];
+    std::uint64_t trials = 0;
+    for (const CheckpointEntry& e : entries) {
+        trials += e.counts.trials;
+        progress_->shardDone(e.counts.trials);
+    }
+    clock.busy_us.fetch_add(busy_us, std::memory_order_relaxed);
+    clock.trials.fetch_add(trials, std::memory_order_relaxed);
+    clock.shards.fetch_add(entries.size(), std::memory_order_relaxed);
+    atomicMin(clock.first_us, microsBetween(start_at_, began));
+    atomicMax(clock.last_us, microsBetween(start_at_, ended));
+    settle(scheme, entries.size());
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const CheckpointEntry& e : entries) {
+        if (checkpointing_)
+            partial_[e.task] = e.counts;
+        completed_.push_back(e.task);
+    }
+    fresh_completed_ += entries.size();
+    chaosOnTaskDone(fresh_completed_);
+    if (!checkpointing_ || interruptRequested())
+        return;
+    const auto interval = std::chrono::duration<double>(
+        std::max(0.0, result_.spec.checkpoint_interval_s));
+    if (Clock::now() - last_flush_ < interval)
+        return;
+    Status s = flushLocked();
+    // Rebase from *after* the write completed, so slow flushes can't
+    // compress the next interval and the cadence stays uniform.
+    last_flush_ = Clock::now();
+    if (!s.ok() && !warned_checkpoint_failure_) {
+        // Degrade gracefully: the campaign still runs, it just can't
+        // persist progress right now.
+        warn(name_ + ": checkpoint write failed (" + s.toString() +
+             "); continuing without");
+        warned_checkpoint_failure_ = true;
+    }
+}
+
+void
+CampaignCore::fail(std::size_t cell, std::uint64_t tasks,
+                   const std::string& message)
+{
+    cell_failed_[cell].store(true, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        cell_errors_.emplace_back(cell, message);
+    }
+    skip(cell, tasks);
+}
+
+void
+CampaignCore::skip(std::size_t cell, std::uint64_t tasks)
+{
+    progress_->shardsSkipped(tasks);
+    settle(cell / plan_.patterns.size(), tasks);
+}
+
+double
+CampaignCore::elapsedSeconds() const
+{
+    return started_ ? std::chrono::duration<double>(Clock::now() -
+                                                    start_at_)
+                          .count()
+                    : 0.0;
+}
+
+Status
+CampaignCore::flushLocked()
+{
+    obs::TraceSpan span("checkpoint-flush", "checkpoint");
+    CampaignCheckpoint ckpt;
+    ckpt.fingerprint = fingerprint_;
+    ckpt.manifest = ckpt_manifest_;
+    std::vector<std::uint64_t> indices = completed_;
+    std::sort(indices.begin(), indices.end());
+    ckpt.done.reserve(indices.size());
+    for (std::uint64_t i : indices)
+        ckpt.done.push_back({i, partial_[i]});
+    span.arg("tasks", indices.size());
+    Status s = saveCheckpoint(result_.spec.checkpoint_path, ckpt);
+    obs::metrics().add(s.ok() ? checkpoint_flushes_
+                              : checkpoint_failures_);
+    return s;
+}
+
+CampaignResult
+CampaignCore::finish()
+{
+    CampaignResult& result = result_;
+    if (started_) {
+        result.seconds = elapsedSeconds();
+        result.cpu_seconds = obs::processCpuSeconds() +
+                             obs::processChildrenCpuSeconds() -
+                             cpu_start_;
+        progress_->stop();
+    }
+    result.interrupted = interruptRequested();
+
+    // Per-scheme timings, plus one synthetic aggregate span per scheme
+    // on its own trace track (evaluation interleaves schemes, so
+    // per-shard spans alone don't show scheme-level overlap).
+    for (std::size_t s = 0; s < plan_.schemes.size(); ++s) {
+        const SchemeClock& clock = clocks_[s];
+        obs::SchemeTiming timing;
+        timing.scheme_id = plan_.ids[s];
+        timing.cpu_seconds =
+            static_cast<double>(
+                clock.busy_us.load(std::memory_order_relaxed)) *
+            1e-6;
+        timing.shards = clock.shards.load(std::memory_order_relaxed);
+        timing.trials = clock.trials.load(std::memory_order_relaxed);
+        const std::uint64_t first =
+            clock.first_us.load(std::memory_order_relaxed);
+        const std::uint64_t last =
+            clock.last_us.load(std::memory_order_relaxed);
+        const bool ran = first != ~std::uint64_t{0} && last > first;
+        if (ran)
+            timing.wall_seconds =
+                static_cast<double>(last - first) * 1e-6;
+        result.scheme_timings.push_back(timing);
+        if (ran && obs::traceEnabled()) {
+            const int tid = 1000 + static_cast<int>(s);
+            obs::setTrackName(tid, "scheme " + plan_.ids[s]);
+            obs::emitSpan(
+                plan_.ids[s], "scheme", trace_eval_start_us_ + first,
+                last - first,
+                "\"shards\":" + std::to_string(timing.shards) +
+                    ",\"trials\":" + std::to_string(timing.trials),
+                tid);
+        }
+    }
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (checkpointing_) {
+        if (Status s = flushLocked(); !s.ok()) {
+            warn(name_ + ": final checkpoint write failed: " +
+                 s.toString());
+        } else if (result.interrupted) {
+            inform(name_ + ": interrupted; " +
+                   std::to_string(completed_.size()) + " of " +
+                   std::to_string(plan_.tasks.size()) +
+                   " shard tasks checkpointed to " +
+                   result_.spec.checkpoint_path);
+        }
+    }
+
+    // Drop failed schemes from the cells and record them — a partial
+    // scheme row would read as a measured (wrong) rate.
+    obs::MetricsRegistry& reg = obs::metrics();
+    if (!cell_errors_.empty()) {
+        std::set<std::string> failed;
+        for (const auto& [cell, message] : cell_errors_) {
+            const CampaignCell& c = result.cells[cell];
+            if (failed.insert(c.scheme_id).second) {
+                warn(name_ + ": dropping scheme " + c.scheme_id + ": " +
+                     message);
+                reg.add(schemes_dropped_);
+                result.errors.push_back(
+                    {c.scheme_id,
+                     "unavailable: pattern " +
+                         patternInfo(c.pattern).label + ": " + message});
+            }
+        }
+        std::erase_if(result.cells, [&](const CampaignCell& c) {
+            return failed.count(c.scheme_id) != 0;
+        });
+    }
+
+    // Evaluating threads flushed their metric shards when they exited;
+    // flush the calling thread's and delta the baseline so the result
+    // reports only this run's activity.
+    reg.flushThisThread();
+    result.metrics = reg.snapshot().since(metrics_baseline_);
+    return std::move(result);
+}
+
+} // namespace gpuecc::sim

@@ -1,0 +1,263 @@
+/**
+ * @file
+ * The campaign mechanics every execution path shares.
+ *
+ * Three drivers run campaigns: the in-process runner (a thread pool),
+ * the fleet dispatcher (work units to worker processes and agents)
+ * and the fleet worker (one unit at a time). They differ only in who
+ * evaluates a shard task; everything else lives here, once:
+ *
+ *  - CampaignPlan: the scheme-major task plan and its fingerprint,
+ *    the one validator for a task's tallies (checkpoint resume and
+ *    fleet results), and evaluateTask — chaos hook, evaluate, retry
+ *    once, otherwise report the failure so the caller fails the cell.
+ *  - CampaignCore: the result under construction, per-cell failure
+ *    bookkeeping, per-scheme clocks and progress, the checkpoint
+ *    ledger (restore, interval flush, final flush, warn-once) and the
+ *    finalize step (per-scheme timings and synthetic trace spans,
+ *    dropping failed schemes, the metrics delta). The runner and the
+ *    dispatcher own one each; the worker needs only the plan.
+ */
+
+#ifndef GPUECC_SIM_CAMPAIGN_CORE_HPP
+#define GPUECC_SIM_CAMPAIGN_CORE_HPP
+
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "common/status.hpp"
+#include "faultsim/shard.hpp"
+#include "sim/campaign.hpp"
+#include "sim/checkpoint.hpp"
+
+namespace gpuecc::sim {
+
+/** Whole microseconds from @p origin to @p at. */
+inline std::uint64_t
+microsBetween(std::chrono::steady_clock::time_point origin,
+              std::chrono::steady_clock::time_point at)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(at - origin)
+            .count());
+}
+
+/** One plan entry: a shard of one (scheme, pattern) cell. */
+struct PlanTask
+{
+    std::size_t cell;
+    Shard shard;
+};
+
+/**
+ * The deterministic task plan: every shard of every cell, scheme-major
+ * and pattern-minor, sharing one pattern plan (and thus the same RNG
+ * streams and masks) across schemes so scheme columns stay paired.
+ */
+struct CampaignPlan
+{
+    /** Resolved scheme ids, in spec order. */
+    std::vector<std::string> ids;
+    std::vector<std::shared_ptr<EntryScheme>> schemes;
+    std::vector<GoldenEntry> goldens;
+    std::vector<ErrorPattern> patterns;
+    std::uint64_t samples = 0;
+    std::uint64_t seed = 0;
+    /** The effective (block-aligned) chunk the shards were cut with. */
+    std::uint64_t chunk = 0;
+    std::vector<PlanTask> tasks;
+
+    /**
+     * Resolve @p scheme_ids and shard every cell with @p chunk. A
+     * scheme that fails to resolve is skipped, warned about and
+     * recorded in @p skipped; notFound when none resolves.
+     */
+    static Result<CampaignPlan>
+    build(const std::vector<std::string>& scheme_ids,
+          const std::vector<ErrorPattern>& patterns,
+          std::uint64_t samples, std::uint64_t seed, std::uint64_t chunk,
+          std::vector<CampaignError>& skipped);
+
+    /**
+     * campaignFingerprint of this plan under the active codec —
+     * computed per call: only fleet and checkpointing runs need it.
+     */
+    std::string fingerprint() const;
+
+    /** Index of the scheme a task belongs to. */
+    std::size_t schemeOf(std::uint64_t task) const
+    {
+        return tasks[task].cell / patterns.size();
+    }
+
+    /**
+     * The one tally validator: @p task must be in the plan, and
+     * @p counts must be possible tallies of it — exhaustive exactly
+     * when its pattern is enumerable, and a sampled shard's trial
+     * count equal to its sample span. dataLoss otherwise.
+     */
+    Status checkTally(std::uint64_t task,
+                      const OutcomeCounts& counts) const;
+
+    /**
+     * Evaluate plan task @p task: run the chaos hook, evaluate, and on
+     * an exception retry once (counted in campaign.shard_retries and
+     * warned about). A second failure comes back as an error; the
+     * caller fails the task's cell, never the campaign.
+     */
+    Result<OutcomeCounts> evaluateTask(std::uint64_t task,
+                                       ShardBatchArena& arena) const;
+};
+
+/**
+ * One campaign in flight. Construction and restore run on one thread
+ * before any evaluation; complete/fail/skip/cellFailed are safe from
+ * any thread during evaluation; finish runs once at the end.
+ */
+class CampaignCore
+{
+  public:
+    using Clock = std::chrono::steady_clock;
+
+    /**
+     * Which driver runs the campaign. It names the log lines and the
+     * metric family ("campaign.*" in-process, "fleet.*" for the fleet
+     * dispatcher) and shapes the checkpoint manifest.
+     */
+    enum class Driver
+    {
+        inProcess,
+        fleet,
+    };
+
+    /**
+     * Snapshot the metrics baseline, plan @p spec (skipping broken
+     * schemes into result().errors) with the chunk sized for
+     * @p width evaluation slots, and open the checkpoint ledger.
+     * @p threads is the thread count the result reports. Errors are
+     * unrecoverable setup problems (no usable scheme).
+     */
+    static Result<std::unique_ptr<CampaignCore>>
+    create(const CampaignSpec& spec, Driver driver, int threads,
+           std::uint64_t width);
+
+    ~CampaignCore();
+
+    const CampaignPlan& plan() const { return plan_; }
+    /** The result under construction; drivers merge the cells. */
+    CampaignResult& result() { return result_; }
+
+    /**
+     * The entries of the resume checkpoint, each validated against
+     * the plan — empty unless the spec resumes from an existing file.
+     * failedPrecondition when the checkpoint belongs to a different
+     * campaign; dataLoss when it doesn't load or an entry doesn't fit.
+     */
+    Result<std::vector<CheckpointEntry>> loadResume();
+
+    /** Merge one restored entry into its cell and the ledger. */
+    void restore(const CheckpointEntry& entry);
+
+    /** Whether a task was restored (it needs no evaluation). */
+    bool restored(std::uint64_t task) const
+    {
+        return restored_[task] != 0;
+    }
+
+    /**
+     * Start the clocks and the progress reporter (which owns a
+     * thread: call after every fork). Every task not restored counts
+     * as pending until completed, failed or skipped.
+     */
+    void start();
+
+    /** Whether a cell already failed (its tasks should be skipped). */
+    bool cellFailed(std::size_t cell) const
+    {
+        return cell_failed_[cell].load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Account freshly evaluated @p entries of one cell, evaluated
+     * between @p began and @p ended with @p busy_us of compute:
+     * scheme clocks, progress, the checkpoint ledger (with its
+     * interval flush) and the chaos kill-point. Cell tallies are the
+     * driver's to merge.
+     */
+    void complete(const std::vector<CheckpointEntry>& entries,
+                  std::uint64_t busy_us, Clock::time_point began,
+                  Clock::time_point ended);
+
+    /**
+     * Fail @p cell with @p message (its scheme is dropped at finish)
+     * and dispose of @p tasks of its pending tasks unevaluated.
+     */
+    void fail(std::size_t cell, std::uint64_t tasks,
+              const std::string& message);
+
+    /** Dispose of @p tasks pending tasks of @p cell unevaluated. */
+    void skip(std::size_t cell, std::uint64_t tasks);
+
+    /** Seconds since start() (0 before it). */
+    double elapsedSeconds() const;
+
+    /**
+     * Stop the clocks, flush the final checkpoint (complete on
+     * success, partial on interrupt), fill the per-scheme timings and
+     * their synthetic trace spans, drop failed schemes and take the
+     * metrics delta. Returns the result; call once.
+     */
+    CampaignResult finish();
+
+  private:
+    CampaignCore() = default;
+
+    /** Account @p tasks disposed tasks of @p scheme. */
+    void settle(std::size_t scheme, std::uint64_t tasks);
+    /** Serialize the ledger; mutex_ held. */
+    Status flushLocked();
+
+    struct SchemeClock;
+
+    std::string name_; //!< "campaign" or "fleet"
+    obs::MetricId checkpoint_flushes_ = 0;
+    obs::MetricId checkpoint_failures_ = 0;
+    obs::MetricId schemes_dropped_ = 0;
+    CampaignPlan plan_;
+    /** The result under construction; result_.spec is the spec run. */
+    CampaignResult result_;
+    obs::MetricsSnapshot metrics_baseline_;
+    std::vector<char> restored_;
+    std::unique_ptr<std::atomic<bool>[]> cell_failed_;
+    std::unique_ptr<SchemeClock[]> clocks_;
+    std::unique_ptr<obs::ProgressReporter> progress_;
+    bool resume_found_ = false;
+    bool started_ = false;
+    Clock::time_point start_at_;
+    double cpu_start_ = 0.0;
+    std::uint64_t trace_eval_start_us_ = 0;
+
+    bool checkpointing_ = false;
+    std::string fingerprint_; //!< set when checkpointing
+    std::vector<std::pair<std::string, std::string>> ckpt_manifest_;
+
+    std::mutex mutex_; //!< everything below
+    /** Per-task tallies, kept only when checkpointing. */
+    std::vector<OutcomeCounts> partial_;
+    /** Plan indices whose tallies the ledger holds. */
+    std::vector<std::uint64_t> completed_;
+    /** Tasks evaluated by this run (excludes restored ones). */
+    std::uint64_t fresh_completed_ = 0;
+    Clock::time_point last_flush_;
+    bool warned_checkpoint_failure_ = false;
+    std::vector<std::pair<std::size_t, std::string>> cell_errors_;
+};
+
+} // namespace gpuecc::sim
+
+#endif // GPUECC_SIM_CAMPAIGN_CORE_HPP

@@ -24,19 +24,19 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
                 "results are byte-identical either way, no-op where "
                 "unsupported)");
     cli.addFlag("fleet-workers", "0",
-                "fork this many worker processes and dispatch shard "
-                "work units to them over pipes (0 = in-process; "
-                "tallies and CSV are bit-identical either way)");
+                "fork this many local worker processes and dispatch "
+                "shard work units to them over pipes (0 = in-process "
+                "unless --fleet-listen; tallies and CSV are "
+                "bit-identical either way)");
     cli.addFlag("fleet-unit", "4",
                 "shard tasks per fleet work unit (dispatch "
-                "granularity; larger amortizes pipe round-trips, "
-                "smaller rebalances and re-queues faster)");
+                "granularity; larger amortizes round-trips, smaller "
+                "rebalances and re-queues faster)");
     cli.addFlag("fleet-listen", "",
-                "serve this campaign as a multi-host fleet service on "
-                "host:port (\":0\" picks a free port; remote "
-                "fleet_agent processes connect and evaluate work "
-                "units; --fleet-workers become local standby workers; "
-                "tallies and CSV stay bit-identical)");
+                "also serve this campaign to remote fleet_agent "
+                "processes on host:port (\":0\" picks a free port); "
+                "agents and any --fleet-workers share the work; "
+                "tallies and CSV stay bit-identical");
     cli.addFlag("fleet-secret", "",
                 "shared secret authenticating fleet agents (falls "
                 "back to $GPUECC_FLEET_SECRET; both sides must "
@@ -46,12 +46,11 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
                 "before its host is presumed hung and the unit is "
                 "re-queued (0 = no deadline)");
     cli.addFlag("fleet-heartbeat-timeout", "10",
-                "seconds of wire silence before a connected agent is "
-                "presumed dead (agents beat at a quarter of this)");
+                "seconds of silence before a fleet host is presumed "
+                "dead (local workers beat at a quarter of this)");
     cli.addFlag("fleet-grace", "30",
-                "seconds the fleet service waits for (re)connecting "
-                "agents before degrading to local standby workers, "
-                "then to in-process execution");
+                "seconds with no live host before a --fleet-listen "
+                "campaign finishes in-process");
     cli.addFlag("fleet-max-unit-attempts", "3",
                 "dispatch attempts before a work unit is declared "
                 "poisonous and its (scheme, pattern) cell failed");
@@ -60,7 +59,7 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
                 "campaign on host:port (\":0\" picks a free port): "
                 "Prometheus text at /metrics, campaign status JSON at "
                 "/status; safe to curl mid-run, never perturbs "
-                "determinism (needs --fleet-listen)");
+                "determinism (needs a fleet mode)");
     cli.addFlag("journal", "",
                 "append every fleet lifecycle event (connect, "
                 "dispatch, result, requeue, poison, fallback, drain) "
@@ -136,14 +135,11 @@ campaignSpecFromCli(const Cli& cli)
         fatal("--fleet-grace must be >= 0");
     if (spec.fleet_max_unit_attempts < 1)
         fatal("--fleet-max-unit-attempts must be >= 1");
-    if (!spec.obs_listen.empty() && spec.fleet_listen.empty())
-        fatal("--obs-listen needs --fleet-listen (the live endpoint "
-              "samples the fleet dispatcher)");
-    if (!spec.journal_path.empty() && spec.fleet_listen.empty() &&
-        spec.fleet_workers == 0)
-        fatal("--journal needs a fleet mode (--fleet-workers or "
-              "--fleet-listen); the journal records fleet dispatch "
-              "events");
+    if ((!spec.obs_listen.empty() || !spec.journal_path.empty()) &&
+        spec.fleet_listen.empty() && spec.fleet_workers == 0)
+        fatal("--obs-listen and --journal need a fleet mode "
+              "(--fleet-workers or --fleet-listen); both observe the "
+              "fleet dispatcher");
     if (spec.resume && spec.checkpoint_path.empty())
         fatal("--resume needs --checkpoint to name the file");
     if (spec.checkpoint_interval_s < 0)

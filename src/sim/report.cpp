@@ -307,7 +307,6 @@ writeCampaignTiming(JsonWriter& w, const CampaignResult& result)
         w.kv("workers", f.workers);
         w.kv("units", f.units);
         w.kv("unit_shards", f.unit_shards);
-        w.kv("queue_capacity", f.queue_capacity);
         w.kv("requeues", f.requeues);
         w.kv("workers_lost", f.workers_lost);
         w.kv("parent_fallback_shards", f.parent_fallback_shards);

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/interrupt.hpp"
+#include "fleet/dispatch.hpp"
 #include "fleet/protocol.hpp"
 #include "sim/campaign.hpp"
 #include "sim/chaos.hpp"
@@ -93,12 +96,14 @@ TEST(FleetProtocol, UnitLineRoundTripsWithoutParentBookkeeping)
     unit.task_count = 4;
 
     const auto decoded =
-        sim::fleet::decodeUnitLine(sim::fleet::encodeUnitLine(unit));
+        sim::fleet::decodeServerLine(sim::fleet::encodeUnitLine(unit));
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
-    EXPECT_EQ(decoded.value().unit, 7u);
-    EXPECT_EQ(decoded.value().first_task, 40u);
-    EXPECT_EQ(decoded.value().task_count, 4u);
-    EXPECT_EQ(decoded.value().cell, 0u);
+    ASSERT_EQ(decoded.value().kind,
+              sim::fleet::ServerMessage::Kind::unit);
+    EXPECT_EQ(decoded.value().unit.unit, 7u);
+    EXPECT_EQ(decoded.value().unit.first_task, 40u);
+    EXPECT_EQ(decoded.value().unit.task_count, 4u);
+    EXPECT_EQ(decoded.value().unit.cell, 0u);
 }
 
 TEST(FleetProtocol, ResultLineCarriesCheckpointTallies)
@@ -162,7 +167,7 @@ TEST(FleetProtocol, GarbageLinesAreStructuredErrors)
 {
     EXPECT_FALSE(sim::fleet::decodeConfigLine("not json\n").ok());
     EXPECT_FALSE(sim::fleet::decodeConfigLine("{}\n").ok());
-    EXPECT_FALSE(sim::fleet::decodeUnitLine("[1,2]\n").ok());
+    EXPECT_FALSE(sim::fleet::decodeServerLine("[1,2]\n").ok());
     EXPECT_FALSE(sim::fleet::decodeWorkerLine("{\"type\":\"bogus\"}\n")
                      .ok());
 }
@@ -296,6 +301,89 @@ TEST(Fleet, HungWorkerTripsTheUnitDeadline)
     EXPECT_TRUE(fleet.fleet.worker_records[0].lost);
     EXPECT_TRUE(fleet.errors.empty());
     expectCellsIdentical(reference, fleet);
+}
+
+TEST(Fleet, WorkerShardRetriesAreCountedPerHost)
+{
+    sim::CampaignSpec spec = smallSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    // Task 3's first attempt throws inside whichever worker runs it;
+    // the shared retry path must recover it and count the retry, and
+    // the count must reach the parent as a host-labelled series.
+    sim::ChaosSpec chaos;
+    chaos.task_fault = 3;
+    sim::setChaosSpec(chaos);
+    spec.fleet_workers = 2;
+    const sim::CampaignResult fleet =
+        sim::CampaignRunner(spec).run();
+    sim::clearChaosSpec();
+
+    EXPECT_TRUE(fleet.errors.empty());
+    expectCellsIdentical(reference, fleet);
+    std::uint64_t retries = 0;
+    for (const obs::CounterValue& c : fleet.metrics.counters) {
+        if (c.name == "fleet.host.local-0.campaign.shard_retries" ||
+            c.name == "fleet.host.local-1.campaign.shard_retries")
+            retries += c.value;
+    }
+    EXPECT_GE(retries, 1u);
+}
+
+TEST(FleetDispatch, IdleWaitWakesOnRequeueAndLastSettlement)
+{
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 1;
+    auto created = sim::fleet::FleetDispatch::create(spec);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    sim::fleet::FleetDispatch& dispatch = *created.value();
+    dispatch.start();
+
+    // Hold every unit in flight, so the queue is empty but the
+    // campaign is not settled.
+    std::vector<std::uint64_t> held;
+    for (std::uint64_t u = 0; dispatch.waitClaim(u, {});)
+        held.push_back(u);
+    ASSERT_GE(held.size(), 2u);
+    ASSERT_FALSE(dispatch.allSettled());
+
+    using std::chrono::steady_clock;
+    const auto waitLong = [&](std::uint64_t& u, bool& claimed,
+                              double& seconds) {
+        const auto start = steady_clock::now();
+        claimed = dispatch.waitClaim(u, std::chrono::seconds(60));
+        seconds = std::chrono::duration<double>(steady_clock::now() -
+                                                start)
+                      .count();
+    };
+
+    // A requeue wakes the waiter with exactly that unit.
+    std::uint64_t got = ~std::uint64_t{0};
+    bool claimed = false;
+    double waited = 0.0;
+    std::thread waiter([&] { waitLong(got, claimed, waited); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    dispatch.requeueUnit(held[0], "test");
+    waiter.join();
+    EXPECT_TRUE(claimed);
+    EXPECT_EQ(got, held[0]);
+    EXPECT_LT(waited, 30.0);
+
+    // The last settlement wakes the waiter with nothing to claim.
+    waiter = std::thread([&] { waitLong(got, claimed, waited); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto now = sim::fleet::FleetDispatch::Clock::now();
+    for (std::uint64_t u : held) {
+        sim::fleet::WorkerMessage result;
+        result.unit = u;
+        EXPECT_TRUE(dispatch.completeUnit(result, now, now));
+    }
+    waiter.join();
+    EXPECT_FALSE(claimed);
+    EXPECT_LT(waited, 30.0);
+    EXPECT_TRUE(dispatch.allSettled());
+    dispatch.finalize({});
 }
 
 TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)

@@ -1,6 +1,7 @@
 /** @file Tests for the (72, 64) Hsiao SEC-DED construction. */
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -25,14 +26,30 @@ columnsOf(const Gf2Matrix& h)
     return cols;
 }
 
-class HsiaoMatrixTest
-    : public ::testing::TestWithParam<Gf2Matrix (*)()>
+/**
+ * One column arrangement under test. It prints as its name, which test
+ * discovery uses to name the cases; a bare function pointer would print
+ * as an address that address-space randomisation moves on every run.
+ */
+struct Arrangement
+{
+    const char* name;
+    Gf2Matrix (*matrix)();
+};
+
+void
+PrintTo(const Arrangement& a, std::ostream* os)
+{
+    *os << a.name;
+}
+
+class HsiaoMatrixTest : public ::testing::TestWithParam<Arrangement>
 {
 };
 
 TEST_P(HsiaoMatrixTest, Shape)
 {
-    const Gf2Matrix h = GetParam()();
+    const Gf2Matrix h = GetParam().matrix();
     EXPECT_EQ(h.rows(), 8);
     EXPECT_EQ(h.cols(), 72);
     EXPECT_EQ(h.rank(), 8);
@@ -40,7 +57,7 @@ TEST_P(HsiaoMatrixTest, Shape)
 
 TEST_P(HsiaoMatrixTest, MinimumOddWeightColumns)
 {
-    const auto cols = columnsOf(GetParam()());
+    const auto cols = columnsOf(GetParam().matrix());
     std::map<int, int> weight_histogram;
     for (unsigned c : cols)
         ++weight_histogram[popcount64(c)];
@@ -52,7 +69,7 @@ TEST_P(HsiaoMatrixTest, MinimumOddWeightColumns)
 
 TEST_P(HsiaoMatrixTest, ColumnsDistinctAndNonzero)
 {
-    const auto cols = columnsOf(GetParam()());
+    const auto cols = columnsOf(GetParam().matrix());
     const std::set<unsigned> unique(cols.begin(), cols.end());
     EXPECT_EQ(unique.size(), 72u);
     EXPECT_EQ(unique.count(0), 0u);
@@ -60,7 +77,7 @@ TEST_P(HsiaoMatrixTest, ColumnsDistinctAndNonzero)
 
 TEST_P(HsiaoMatrixTest, ChecksAtEnd)
 {
-    const Gf2Matrix h = GetParam()();
+    const Gf2Matrix h = GetParam().matrix();
     for (int r = 0; r < 8; ++r) {
         for (int c = 64; c < 72; ++c)
             EXPECT_EQ(h.get(r, c), c - 64 == r ? 1 : 0);
@@ -69,14 +86,15 @@ TEST_P(HsiaoMatrixTest, ChecksAtEnd)
 
 TEST_P(HsiaoMatrixTest, IsSecDedAsCode)
 {
-    const Code72 code(GetParam()());
+    const Code72 code(GetParam().matrix());
     EXPECT_TRUE(code.isSec());
     EXPECT_TRUE(code.isDed());
 }
 
-INSTANTIATE_TEST_SUITE_P(Arrangements, HsiaoMatrixTest,
-                         ::testing::Values(&hsiao7264Matrix,
-                                           &hsiao7264LexMatrix));
+INSTANTIATE_TEST_SUITE_P(
+    Arrangements, HsiaoMatrixTest,
+    ::testing::Values(Arrangement{"Calibrated", &hsiao7264Matrix},
+                      Arrangement{"Lexicographic", &hsiao7264LexMatrix}));
 
 TEST(HsiaoArrangement, SameMultisetDifferentOrder)
 {

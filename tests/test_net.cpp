@@ -345,7 +345,6 @@ TEST(NetProtocol, DecodersSurviveDeterministicGarbage)
         // None of these may crash; structured failure (or, for pure
         // luck, success) are both acceptable outcomes.
         (void)sim::fleet::decodeConfigLine(line);
-        (void)sim::fleet::decodeUnitLine(line);
         (void)sim::fleet::decodeWorkerLine(line);
         (void)sim::fleet::decodeServerLine(line);
         (void)sim::fleet::decodeChallengeLine(line);
@@ -620,6 +619,77 @@ TEST(FleetService, GarbledUnitLineTriggersBackoffReconnect)
     ASSERT_EQ(r.fleet.worker_records.size(), 2u);
     EXPECT_TRUE(r.fleet.worker_records[0].lost);
     EXPECT_FALSE(r.fleet.worker_records[1].lost);
+    EXPECT_TRUE(r.errors.empty());
+    expectCellsIdentical(reference, r);
+}
+
+TEST(FleetService, UnitErrorForAnotherUnitRetiresTheHost)
+{
+    if (!netTestsSupported())
+        GTEST_SKIP() << "sockets/fork unavailable";
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(smallSpec()).run();
+
+    // A short grace: once the rogue peer is retired no host is left,
+    // and the service finishes in-process.
+    sim::CampaignSpec spec = serviceSpec();
+    spec.fleet_grace_s = 1.0;
+    auto service = net::FleetService::create(spec);
+    ASSERT_TRUE(service.ok()) << service.status().toString();
+
+    // A hand-rolled peer that authenticates properly, then answers its
+    // first unit with a unit_error naming a unit far outside the plan.
+    const int port = service.value()->port();
+    const std::string secret = spec.fleet_secret;
+    std::vector<int> inherited;
+    auto rogue = spawnChild(
+        [port, secret](int, int) {
+            auto fd = net::connectTcp({"127.0.0.1", port});
+            if (!fd.ok())
+                return 1;
+            LineReader reader(fd.value(), sim::fleet::kMaxWireLineBytes);
+            auto challenge = reader.readLine(10000);
+            if (!challenge.ok())
+                return 2;
+            auto nonce = sim::fleet::decodeChallengeLine(challenge.value());
+            if (!nonce.ok())
+                return 3;
+            writeAllFd(fd.value(),
+                       sim::fleet::encodeAuthLine(
+                           "rogue",
+                           net::agentMac(secret, nonce.value(), "rogue")));
+            auto welcome = reader.readLine(10000);
+            if (!welcome.ok())
+                return 4;
+            auto decoded = sim::fleet::decodeWelcomeLine(welcome.value());
+            if (!decoded.ok())
+                return 5;
+            if (!reader.readLine(10000).ok()) // config
+                return 6;
+            auto unit = reader.readLine(10000);
+            if (!unit.ok())
+                return 7;
+            writeAllFd(fd.value(),
+                       sim::fleet::encodeUnitErrorLine(
+                           std::uint64_t{1} << 40, decoded.value().worker,
+                           "not my unit"));
+            // Hold the connection until the server hangs up.
+            while (reader.readLine(10000).ok()) {
+            }
+            return 0;
+        },
+        inherited);
+    ASSERT_TRUE(rogue.ok()) << rogue.status().toString();
+
+    const auto result = service.value()->run();
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_EQ(reapAgent(rogue.value()), 0);
+
+    const sim::CampaignResult& r = result.value();
+    EXPECT_EQ(r.fleet.agents_connected, 1u);
+    EXPECT_EQ(r.fleet.workers_lost, 1u);
+    EXPECT_GE(r.fleet.requeues, 1u);
+    EXPECT_GT(r.fleet.parent_fallback_shards, 0u);
     EXPECT_TRUE(r.errors.empty());
     expectCellsIdentical(reference, r);
 }

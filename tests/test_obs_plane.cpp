@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <unistd.h>
 #endif
 
@@ -335,7 +337,7 @@ TEST(ObsPlane, DuplicateResultsDoNotDoubleCountHostMetrics)
     dispatch.registerHost(0, "alpha", true);
 
     std::uint64_t u = 0;
-    ASSERT_TRUE(dispatch.tryClaim(u));
+    ASSERT_TRUE(dispatch.waitClaim(u, {}));
     dispatch.noteUnitDispatched(u, 0);
 
     sim::fleet::WorkerMessage telemetry;
@@ -352,17 +354,17 @@ TEST(ObsPlane, DuplicateResultsDoNotDoubleCountHostMetrics)
     result.unit = u;
     result.busy_us = 1000;
     const auto now = sim::fleet::FleetDispatch::Clock::now();
-    EXPECT_TRUE(dispatch.completeUnit(u, result, now, now));
+    EXPECT_TRUE(dispatch.completeUnit(result, now, now));
     // The replayed delivery must be discarded and counted.
-    EXPECT_FALSE(dispatch.completeUnit(u, result, now, now));
+    EXPECT_FALSE(dispatch.completeUnit(result, now, now));
 
     const sim::fleet::DispatchStatus status = dispatch.status();
-    EXPECT_EQ(status.duplicates, 1u);
+    EXPECT_EQ(status.fleet.duplicate_results, 1u);
     ASSERT_EQ(status.hosts.size(), 1u);
     EXPECT_EQ(status.hosts[0].units, 1u); // credited exactly once
 
     dispatch.finishInProcess();
-    const sim::CampaignResult r = dispatch.finalize(1, {});
+    const sim::CampaignResult r = dispatch.finalize({});
     EXPECT_EQ(r.fleet.duplicate_results, 1u);
     // The shipped counter delta surfaces once under the host label.
     std::uint64_t alpha_trials_metric = 0;
@@ -544,6 +546,86 @@ TEST(ObsPlane, ServiceCampaignServesLiveEndpointsAndStaysIdentical)
     EXPECT_TRUE(saw_alpha);
     EXPECT_TRUE(saw_beta);
     std::remove(journal_path.c_str());
+}
+
+TEST(ObsPlane, PipeFleetServesLiveStatusMidRun)
+{
+    if (!netTestsSupported())
+        GTEST_SKIP() << "sockets/fork unavailable";
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(smallSpec()).run();
+
+    // Local workers only: the same driver serves the endpoint without
+    // a fleet listen address.
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 2;
+    spec.obs_listen = "127.0.0.1:0";
+    auto service = net::FleetService::create(spec);
+    ASSERT_TRUE(service.ok()) << service.status().toString();
+    const int obs_port = service.value()->obsPort();
+    ASSERT_GT(obs_port, 0);
+
+    // Scrape from a forked process rather than a thread: run() forks
+    // the local workers and must do so while this process is still
+    // single-threaded. The scraper reports the first /status document
+    // served — one the endpoint can only serve mid-campaign.
+    auto scraper = spawnChild(
+        [obs_port](int, int write_fd) {
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::seconds(30);
+            while (std::chrono::steady_clock::now() < until) {
+                auto fd = net::connectTcp({"127.0.0.1", obs_port});
+                if (fd.ok()) {
+                    writeAllFd(fd.value(),
+                               "GET /status HTTP/1.1\r\nHost: test\r\n"
+                               "Connection: close\r\n\r\n",
+                               2000);
+                    // Poll before every read: this process holds a copy
+                    // of the endpoint's listening socket, so a connect
+                    // after the campaign ends is never answered.
+                    std::string response;
+                    char buf[4096];
+                    struct pollfd p = {fd.value(), POLLIN, 0};
+                    while (::poll(&p, 1, 2000) > 0) {
+                        const ssize_t n = ::read(fd.value(), buf, sizeof buf);
+                        if (n <= 0)
+                            break;
+                        response.append(buf, static_cast<std::size_t>(n));
+                    }
+                    closeFd(fd.value());
+                    if (response.find("200 OK") != std::string::npos) {
+                        writeAllFd(write_fd, response + "\n");
+                        return 0;
+                    }
+                }
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(5));
+            }
+            return 1;
+        },
+        {});
+    ASSERT_TRUE(scraper.ok()) << scraper.status().toString();
+
+    const auto result = service.value()->run();
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    std::string status;
+    LineReader from_scraper(scraper.value().from_child);
+    for (auto line = from_scraper.readLine(); line.ok();
+         line = from_scraper.readLine())
+        status += line.value() + "\n";
+    EXPECT_EQ(waitForExit(scraper.value().pid).value(), 0);
+    closeFd(scraper.value().to_child);
+    closeFd(scraper.value().from_child);
+
+    EXPECT_NE(status.find("\"units\""), std::string::npos) << status;
+    EXPECT_NE(status.find("local-0"), std::string::npos) << status;
+    EXPECT_NE(status.find("local-1"), std::string::npos) << status;
+
+    const sim::CampaignResult& r = result.value();
+    EXPECT_TRUE(r.errors.empty());
+    EXPECT_EQ(r.fleet.workers, 2);
+    expectCellsIdentical(reference, r);
+    EXPECT_EQ(sim::campaignCsv(reference), sim::campaignCsv(r));
 }
 
 TEST(ObsHttp, EndpointSurvivesHostileBytes)
