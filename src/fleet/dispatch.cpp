@@ -4,33 +4,24 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <mutex>
 
 #include "common/interrupt.hpp"
 #include "common/log.hpp"
+#include "obs/exposition.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
 #include "sim/campaign_core.hpp"
+#include "sim/report.hpp"
 
 namespace gpuecc::sim::fleet {
 
 namespace {
 
-/** Ids of the fleet.* metrics, registered once per process. */
+/** Ids of the fleet.* registry metrics, registered once per process. */
 struct FleetMetricIds
 {
     obs::MetricId units_completed;
-    obs::MetricId units_requeued;
-    obs::MetricId units_poisoned;
-    obs::MetricId duplicate_results;
-    obs::MetricId workers_lost;
-    obs::MetricId worker_timeouts;
-    obs::MetricId heartbeat_expiries;
-    obs::MetricId agents_connected;
-    obs::MetricId auth_failures;
-    obs::MetricId shards_completed;
-    obs::MetricId trials;
     /** High-water queue depth (gauges merge by maximum). */
     obs::MetricId queue_depth;
 };
@@ -44,20 +35,23 @@ fleetMetricIds()
         obs::MetricsRegistry& m = obs::metrics();
         FleetMetricIds out;
         out.units_completed = m.counter("fleet.units_completed");
-        out.units_requeued = m.counter("fleet.units_requeued");
-        out.units_poisoned = m.counter("fleet.units_poisoned");
-        out.duplicate_results = m.counter("fleet.duplicate_results");
-        out.workers_lost = m.counter("fleet.workers_lost");
-        out.worker_timeouts = m.counter("fleet.worker_timeouts");
-        out.heartbeat_expiries = m.counter("fleet.heartbeat_expiries");
-        out.agents_connected = m.counter("fleet.agents_connected");
-        out.auth_failures = m.counter("fleet.auth_failures");
-        out.shards_completed = m.counter("fleet.shards_completed");
-        out.trials = m.counter("fleet.trials");
         out.queue_depth = m.gauge("fleet.queue_depth");
         return out;
     }();
     return ids;
+}
+
+/** Add @p value to the counter @p name in @p counters. */
+void
+accumulate(std::vector<std::pair<std::string, std::uint64_t>>& counters,
+           const std::string& name, std::uint64_t value)
+{
+    auto it = std::find_if(counters.begin(), counters.end(),
+                           [&](const auto& c) { return c.first == name; });
+    if (it == counters.end())
+        counters.emplace_back(name, value);
+    else
+        it->second += value;
 }
 
 } // namespace
@@ -80,31 +74,17 @@ struct FleetDispatch::Impl
     std::deque<std::uint64_t> queue;
     std::vector<char> unit_settled;
     std::vector<int> unit_attempts; // failed dispatches per unit
-    std::uint64_t fallback_shards = 0; // finishInProcess only
-
-    /** Transport telemetry (atomic: any liaison thread bumps them). */
-    std::atomic<std::uint64_t> requeues{0};
-    std::atomic<std::uint64_t> poisoned{0};
-    std::atomic<std::uint64_t> duplicates{0};
-    std::atomic<std::uint64_t> workers_lost{0};
-    std::atomic<std::uint64_t> worker_timeouts{0};
-    std::atomic<std::uint64_t> heartbeat_expiries{0};
-    std::atomic<std::uint64_t> agents_connected{0};
-    std::atomic<std::uint64_t> auth_failures{0};
-
-    /** Live progress for status() (atomic: sampled by HTTP thread). */
-    std::atomic<std::uint64_t> shards_done{0};
-    std::atomic<std::uint64_t> trials_done{0};
-    std::atomic<std::uint64_t> units_settled_live{0};
+    /** Plan facts, the fault counters and the fallback's shards. */
+    obs::FleetTelemetry telemetry;
 
     /**
-     * One slot per host *connection* (a reconnecting agent gets a new
-     * slot; finalize merges slots by label). Guarded by state_mutex.
+     * One ledger row per host *connection* (a reconnecting agent gets
+     * a new row; hostSeries merges rows by label), plus what replaying
+     * its spans needs. Guarded by state_mutex.
      */
-    struct HostSlot : HostStatus
+    struct HostSlot
     {
-        /** Shipped counter deltas, accumulated by name. */
-        std::vector<std::pair<std::string, std::uint64_t>> counters;
+        obs::FleetWorkerRecord row;
         /** Shipped spans, timestamps in the host's config clock. */
         std::vector<SpanRecord> spans;
         std::chrono::steady_clock::time_point config_sent_at;
@@ -128,28 +108,6 @@ struct FleetDispatch::Impl
 
     const CampaignPlan& plan() const { return core->plan(); }
 
-    /** Plan facts and fault counters for timing.fleet and /status;
-        state_mutex held (for fallback_shards). */
-    obs::FleetTelemetry telemetryLocked() const
-    {
-        obs::FleetTelemetry t;
-        t.units = units.size();
-        t.unit_shards = spec.fleet_unit_shards;
-        t.requeues = requeues.load(std::memory_order_relaxed);
-        t.workers_lost = workers_lost.load(std::memory_order_relaxed);
-        t.parent_fallback_shards = fallback_shards;
-        t.units_poisoned = poisoned.load(std::memory_order_relaxed);
-        t.duplicate_results = duplicates.load(std::memory_order_relaxed);
-        t.worker_timeouts =
-            worker_timeouts.load(std::memory_order_relaxed);
-        t.heartbeat_expiries =
-            heartbeat_expiries.load(std::memory_order_relaxed);
-        t.agents_connected =
-            agents_connected.load(std::memory_order_relaxed);
-        t.auth_failures = auth_failures.load(std::memory_order_relaxed);
-        return t;
-    }
-
     /**
      * Settle one unit; state_mutex held. Every settlement path
      * (complete, fail, skip, poison) funnels here so remaining stays
@@ -158,7 +116,6 @@ struct FleetDispatch::Impl
     void settleLocked(std::uint64_t u)
     {
         unit_settled[u] = 1;
-        units_settled_live.fetch_add(1, std::memory_order_relaxed);
         if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
             wake.notify_all();
     }
@@ -175,8 +132,6 @@ struct FleetDispatch::Impl
             core->fail(unit.cell, unit.task_count, *failure);
         else
             core->skip(unit.cell, unit.task_count);
-        shards_done.fetch_add(unit.task_count,
-                              std::memory_order_relaxed);
         settleLocked(u);
     }
 
@@ -225,7 +180,7 @@ struct FleetDispatch::Impl
     HostSlot* slotForLocked(int worker)
     {
         for (auto it = hosts.rbegin(); it != hosts.rend(); ++it)
-            if (it->worker == worker)
+            if (it->row.worker == worker)
                 return &*it;
         return nullptr;
     }
@@ -235,7 +190,7 @@ struct FleetDispatch::Impl
     {
         const HostSlot* slot = slotForLocked(worker);
         if (slot != nullptr)
-            return slot->label;
+            return slot->row.label;
         return "worker-" + std::to_string(worker);
     }
 
@@ -316,6 +271,8 @@ FleetDispatch::create(const CampaignSpec& spec)
     }
     impl->unit_settled.assign(impl->units.size(), 0);
     impl->unit_attempts.assign(impl->units.size(), 0);
+    impl->telemetry.units = impl->units.size();
+    impl->telemetry.unit_shards = spec.fleet_unit_shards;
 
     // Resume at unit granularity: a unit all of whose tasks are in
     // the checkpoint is settled (merged, never dispatched); a
@@ -350,8 +307,6 @@ FleetDispatch::create(const CampaignSpec& spec)
     impl->initial_pending = impl->queue.size();
     impl->remaining.store(impl->initial_pending,
                           std::memory_order_release);
-    impl->shards_done.store(impl->core->result().resumed_shards,
-                            std::memory_order_relaxed);
 
     auto out = std::unique_ptr<FleetDispatch>(new FleetDispatch());
     out->impl_ = std::move(impl);
@@ -457,8 +412,6 @@ FleetDispatch::completeUnit(const WorkerMessage& msg,
                             Clock::time_point done_at)
 {
     Impl& d = *impl_;
-    const FleetMetricIds& mid = fleetMetricIds();
-    obs::MetricsRegistry& reg = obs::metrics();
     const std::uint64_t u = msg.unit;
     const WorkUnit& unit = d.units[u];
 
@@ -466,8 +419,7 @@ FleetDispatch::completeUnit(const WorkerMessage& msg,
     if (d.unit_settled[u] != 0) {
         // Idempotent delivery: a host presumed dead (or a duplicated
         // wire line) re-delivered a settled unit — discard, count.
-        d.duplicates.fetch_add(1, std::memory_order_relaxed);
-        reg.add(mid.duplicate_results);
+        ++d.telemetry.duplicate_results;
         d.journalAppend("duplicate", {}, {{"unit", u}});
         return false;
     }
@@ -478,21 +430,17 @@ FleetDispatch::completeUnit(const WorkerMessage& msg,
             e.counts);
         unit_trials += e.counts.trials;
     }
-    reg.add(mid.units_completed);
-    reg.add(mid.shards_completed, unit.task_count);
-    reg.add(mid.trials, unit_trials);
+    obs::metrics().add(fleetMetricIds().units_completed);
 
     // Host credit rides the same settled-exactly-once gate as the
     // tallies, so a duplicated delivery can never double-count a
-    // host's unit/shard/trial series.
-    d.shards_done.fetch_add(unit.task_count,
-                            std::memory_order_relaxed);
-    d.trials_done.fetch_add(unit_trials, std::memory_order_relaxed);
+    // host's row.
     if (Impl::HostSlot* slot = d.slotForLocked(msg.worker)) {
-        slot->units += 1;
-        slot->shards += unit.task_count;
-        slot->trials += unit_trials;
-        slot->busy_us += msg.busy_us;
+        obs::FleetWorkerRecord& row = slot->row;
+        row.units += 1;
+        row.shards += unit.task_count;
+        row.trials += unit_trials;
+        row.busy_seconds += static_cast<double>(msg.busy_us) * 1e-6;
     }
     d.journalAppend("result", {{"host", d.hostLabelLocked(msg.worker)}},
                     {{"unit", u},
@@ -523,7 +471,6 @@ void
 FleetDispatch::requeueUnit(std::uint64_t u, const std::string& why)
 {
     Impl& d = *impl_;
-    const FleetMetricIds& mid = fleetMetricIds();
     std::lock_guard<std::mutex> lock(d.state_mutex);
     if (d.unit_settled[u] != 0)
         return;
@@ -540,8 +487,7 @@ FleetDispatch::requeueUnit(std::uint64_t u, const std::string& why)
             ")) poisoned after " + std::to_string(attempts) +
             " failed dispatch attempts; last: " + why;
         warn("fleet: " + message);
-        d.poisoned.fetch_add(1, std::memory_order_relaxed);
-        obs::metrics().add(mid.units_poisoned);
+        ++d.telemetry.units_poisoned;
         d.journalAppend(
             "poison", {},
             {{"unit", u},
@@ -551,8 +497,7 @@ FleetDispatch::requeueUnit(std::uint64_t u, const std::string& why)
     }
     d.queue.push_back(u);
     d.wake.notify_all();
-    d.requeues.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().add(mid.units_requeued);
+    ++d.telemetry.requeues;
     d.journalAppend(
         "requeue", {},
         {{"unit", u},
@@ -601,7 +546,7 @@ FleetDispatch::finishInProcess()
         }
         if (completeUnit(msg, dispatch_at, done_at)) {
             std::lock_guard<std::mutex> lock(d.state_mutex);
-            d.fallback_shards += unit.task_count;
+            d.telemetry.parent_fallback_shards += unit.task_count;
         }
     }
 }
@@ -609,54 +554,66 @@ FleetDispatch::finishInProcess()
 void
 FleetDispatch::noteWorkerLost()
 {
-    impl_->workers_lost.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().add(fleetMetricIds().workers_lost);
+    std::lock_guard<std::mutex> lock(impl_->state_mutex);
+    ++impl_->telemetry.workers_lost;
     impl_->journalAppend("host_lost");
 }
 
 void
 FleetDispatch::noteWorkerTimeout()
 {
-    impl_->worker_timeouts.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().add(fleetMetricIds().worker_timeouts);
+    std::lock_guard<std::mutex> lock(impl_->state_mutex);
+    ++impl_->telemetry.worker_timeouts;
     impl_->journalAppend("timeout");
 }
 
 void
 FleetDispatch::noteHeartbeatExpiry()
 {
-    impl_->heartbeat_expiries.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().add(fleetMetricIds().heartbeat_expiries);
+    std::lock_guard<std::mutex> lock(impl_->state_mutex);
+    ++impl_->telemetry.heartbeat_expiries;
     impl_->journalAppend("expiry");
 }
 
 void
 FleetDispatch::noteAuthFailure()
 {
-    impl_->auth_failures.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().add(fleetMetricIds().auth_failures);
+    std::lock_guard<std::mutex> lock(impl_->state_mutex);
+    ++impl_->telemetry.auth_failures;
     impl_->journalAppend("auth_fail");
 }
 
 void
 FleetDispatch::registerHost(int worker, const std::string& label,
-                            bool remote)
+                            bool remote, std::int64_t pid)
 {
     Impl& d = *impl_;
     std::lock_guard<std::mutex> lock(d.state_mutex);
     Impl::HostSlot slot;
-    slot.worker = worker;
-    slot.label = label;
-    slot.remote = remote;
+    slot.row.worker = worker;
+    slot.row.label = label;
+    slot.row.pid = pid;
+    slot.row.remote = remote;
+    if (remote)
+        slot.row.agent = label;
     slot.config_sent_at = std::chrono::steady_clock::now();
     slot.config_sent_trace_us = obs::traceNowUs();
     d.hosts.push_back(std::move(slot));
-    if (remote) {
-        d.agents_connected.fetch_add(1, std::memory_order_relaxed);
-        obs::metrics().add(fleetMetricIds().agents_connected);
-    }
+    if (remote)
+        ++d.telemetry.agents_connected;
     d.journalAppend("connect", {{"host", label}},
                     {{"remote", std::uint64_t{remote ? 1u : 0u}}});
+}
+
+void
+FleetDispatch::closeHost(int worker, int exit_code, bool lost)
+{
+    Impl& d = *impl_;
+    std::lock_guard<std::mutex> lock(d.state_mutex);
+    if (Impl::HostSlot* slot = d.slotForLocked(worker)) {
+        slot->row.exit_code = exit_code;
+        slot->row.lost = lost;
+    }
 }
 
 void
@@ -679,15 +636,8 @@ FleetDispatch::absorbTelemetry(const WorkerMessage& msg)
     Impl::HostSlot* slot = d.slotForLocked(msg.worker);
     if (slot == nullptr)
         return;
-    for (const auto& [name, value] : msg.counters) {
-        auto it = std::find_if(
-            slot->counters.begin(), slot->counters.end(),
-            [&](const auto& c) { return c.first == name; });
-        if (it == slot->counters.end())
-            slot->counters.emplace_back(name, value);
-        else
-            it->second += value;
-    }
+    for (const auto& [name, value] : msg.counters)
+        accumulate(slot->row.counters, name, value);
     slot->spans.insert(slot->spans.end(), msg.spans.begin(),
                        msg.spans.end());
     d.clockSampleLocked(*slot, msg.now_us);
@@ -700,55 +650,59 @@ FleetDispatch::status() const
     DispatchStatus s;
     s.units_total = d.units.size();
     s.units_resumed = d.units.size() - d.initial_pending;
-    const std::uint64_t live =
-        d.units_settled_live.load(std::memory_order_acquire);
-    s.units_settled = s.units_resumed + live;
     s.shards_total = d.plan().tasks.size();
-    s.shards_done = d.shards_done.load(std::memory_order_relaxed);
-    s.trials_done = d.trials_done.load(std::memory_order_relaxed);
+    s.shards_done = d.core->shardsDone();
+    s.trials_done = d.core->trialsDone();
     s.elapsed_seconds = d.core->elapsedSeconds();
     std::lock_guard<std::mutex> lock(d.state_mutex);
-    s.fleet = d.telemetryLocked();
-    s.queue_depth = d.queue.size();
     const std::uint64_t pending =
         d.remaining.load(std::memory_order_acquire);
+    const std::uint64_t live = d.initial_pending - pending;
+    s.units_settled = s.units_resumed + live;
+    s.fleet = d.telemetry;
+    s.queue_depth = d.queue.size();
     s.units_in_flight =
         pending > s.queue_depth ? pending - s.queue_depth : 0;
     if (s.elapsed_seconds > 0.0 && live > 0) {
         s.units_per_second = static_cast<double>(live) / s.elapsed_seconds;
         s.eta_seconds = static_cast<double>(pending) / s.units_per_second;
     }
-    s.hosts.assign(d.hosts.begin(), d.hosts.end());
+    for (const Impl::HostSlot& slot : d.hosts)
+        s.hosts.push_back(slot.row);
     return s;
 }
 
 CampaignResult
-FleetDispatch::finalize(std::vector<obs::FleetWorkerRecord> records)
+FleetDispatch::finalize()
 {
     Impl& d = *impl_;
     d.evaluate_span.reset();
     CampaignResult result = d.core->finish();
 
-    // Observability-plane merge: replay each host's shipped spans
-    // onto its own trace track (rebased from "µs since config
-    // receipt" to the parent's trace clock via the minimum-latency
-    // offset), and append host-labelled counter series to the
-    // campaign metrics. Slots merge by label so a reconnecting agent
-    // reports as one host.
     {
         std::lock_guard<std::mutex> lock(d.state_mutex);
-        // Fleet telemetry for reports and the strong-scaling bench.
-        result.fleet = d.telemetryLocked();
-        result.fleet.workers = static_cast<int>(records.size());
-        result.fleet.worker_records = std::move(records);
+        // timing.fleet: the fault counters, and every row but the
+        // in-process fallback's as the per-host audit trail.
+        result.fleet = d.telemetry;
+        std::vector<obs::FleetWorkerRecord> rows;
+        for (const Impl::HostSlot& slot : d.hosts) {
+            rows.push_back(slot.row);
+            if (slot.row.worker >= 0)
+                result.fleet.worker_records.push_back(slot.row);
+        }
+        result.fleet.workers =
+            static_cast<int>(result.fleet.worker_records.size());
 
+        // Replay each host's shipped spans onto its own trace track,
+        // rebased from "µs since config receipt" to the parent's
+        // trace clock via the minimum-latency offset.
         if (obs::traceEnabled()) {
             for (std::size_t i = 0; i < d.hosts.size(); ++i) {
                 const Impl::HostSlot& slot = d.hosts[i];
                 if (slot.spans.empty())
                     continue;
                 const int tid = 2000 + static_cast<int>(i);
-                obs::setTrackName(tid, "host " + slot.label);
+                obs::setTrackName(tid, "host " + slot.row.label);
                 const std::int64_t base =
                     static_cast<std::int64_t>(
                         slot.config_sent_trace_us) +
@@ -766,42 +720,14 @@ FleetDispatch::finalize(std::vector<obs::FleetWorkerRecord> records)
             }
         }
 
-        std::vector<std::string> labels;
-        std::map<std::string, Impl::HostSlot> merged;
-        for (const Impl::HostSlot& slot : d.hosts) {
-            auto [it, fresh] = merged.emplace(slot.label, slot);
-            if (fresh) {
-                labels.push_back(slot.label);
-                continue;
-            }
-            Impl::HostSlot& into = it->second;
-            into.units += slot.units;
-            into.shards += slot.shards;
-            into.trials += slot.trials;
-            into.busy_us += slot.busy_us;
-            for (const auto& [name, value] : slot.counters) {
-                auto found = std::find_if(
-                    into.counters.begin(), into.counters.end(),
-                    [&](const auto& c) { return c.first == name; });
-                if (found == into.counters.end())
-                    into.counters.emplace_back(name, value);
-                else
-                    found->second += value;
-            }
-        }
-        for (const std::string& label : labels) {
-            const Impl::HostSlot& slot = merged.at(label);
-            const std::string prefix = "fleet.host." + label + ".";
+        // The fault counters and the host series join the campaign
+        // counters, rendered from the same ledger as /metrics.
+        for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
             result.metrics.counters.push_back(
-                {prefix + "units", slot.units});
+                {c.metric, result.fleet.*c.field});
+        for (const HostSample& h : hostSeries(rows))
             result.metrics.counters.push_back(
-                {prefix + "shards", slot.shards});
-            result.metrics.counters.push_back(
-                {prefix + "trials", slot.trials});
-            for (const auto& [name, value] : slot.counters)
-                result.metrics.counters.push_back(
-                    {prefix + name, value});
-        }
+                {"fleet.host." + h.label + "." + h.name, h.value});
     }
 
     d.journalAppend(
@@ -813,6 +739,92 @@ FleetDispatch::finalize(std::vector<obs::FleetWorkerRecord> records)
 
     d.campaign_span.reset();
     return result;
+}
+
+std::vector<HostSample>
+hostSeries(const std::vector<obs::FleetWorkerRecord>& hosts)
+{
+    std::vector<obs::FleetWorkerRecord> merged;
+    for (const obs::FleetWorkerRecord& h : hosts) {
+        auto it = std::find_if(
+            merged.begin(), merged.end(),
+            [&](const auto& m) { return m.label == h.label; });
+        if (it == merged.end()) {
+            merged.push_back(h);
+            continue;
+        }
+        it->units += h.units;
+        it->shards += h.shards;
+        it->trials += h.trials;
+        for (const auto& [name, value] : h.counters)
+            accumulate(it->counters, name, value);
+    }
+    std::vector<HostSample> out;
+    for (const obs::FleetWorkerRecord& m : merged) {
+        out.push_back({m.label, "units", m.units});
+        out.push_back({m.label, "shards", m.shards});
+        out.push_back({m.label, "trials", m.trials});
+        for (const auto& [name, value] : m.counters)
+            out.push_back({m.label, name, value});
+    }
+    return out;
+}
+
+std::string
+statusJson(const DispatchStatus& s)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.key("units").beginObject();
+    w.kv("total", s.units_total);
+    w.kv("settled", s.units_settled);
+    w.kv("resumed", s.units_resumed);
+    w.kv("in_flight", s.units_in_flight);
+    w.kv("queue_depth", s.queue_depth);
+    w.endObject();
+    w.key("shards").beginObject();
+    w.kv("total", s.shards_total);
+    w.kv("done", s.shards_done);
+    w.endObject();
+    w.kv("trials_done", s.trials_done);
+    w.key("fleet").beginObject();
+    for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
+        w.kv(c.key, s.fleet.*c.field);
+    w.endObject();
+    w.kv("elapsed_seconds", s.elapsed_seconds);
+    w.kv("units_per_second", s.units_per_second);
+    w.kv("eta_seconds", s.eta_seconds);
+    w.key("hosts").beginArray();
+    for (const obs::FleetWorkerRecord& h : s.hosts) {
+        w.beginObject();
+        writeFleetWorkerRecord(w, h);
+        w.kv("units_per_second",
+             s.elapsed_seconds > 0.0
+                 ? static_cast<double>(h.units) / s.elapsed_seconds
+                 : 0.0);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+    return w.str();
+}
+
+std::string
+statusMetricsText(const DispatchStatus& s)
+{
+    std::vector<obs::PromSample> samples = {
+        {"fleet.units_total", s.units_total},
+        {"fleet.units_settled", s.units_settled},
+        {"fleet.units_in_flight", s.units_in_flight},
+        {"fleet.shards_total", s.shards_total},
+        {"fleet.shards_done", s.shards_done},
+        {"fleet.trials_done", s.trials_done},
+    };
+    for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
+        samples.push_back({c.metric, s.fleet.*c.field});
+    for (const HostSample& h : hostSeries(s.hosts))
+        samples.push_back({"fleet.host." + h.name, h.value, h.label});
+    return obs::renderPrometheusText(samples);
 }
 
 } // namespace gpuecc::sim::fleet

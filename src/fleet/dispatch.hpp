@@ -12,6 +12,13 @@
  * unit, round-trip it to the host, then settle it exactly once via
  * completeUnit / failUnit / requeueUnit.
  *
+ * The dispatcher is also the fleet's one ledger. Each fact is counted
+ * once, here: one obs::FleetWorkerRecord per host connection (credit,
+ * shipped counters, how it ended), the fault counters of
+ * obs::FleetTelemetry, and — through the campaign core — shard and
+ * trial progress. /status, /metrics, timing.fleet and the
+ * fleet.host.<label>.* series are all rendered from it.
+ *
  * The queue is a deque under the dispatcher's state mutex, plus a
  * condition variable: an idle liaison blocks in waitClaim and wakes
  * the moment a unit is requeued or the last unit settles.
@@ -46,23 +53,11 @@
 
 namespace gpuecc::sim::fleet {
 
-/** One registered host's live accounting (a /status row). */
-struct HostStatus
-{
-    int worker = -1;
-    std::string label;
-    bool remote = false;
-    std::uint64_t units = 0;
-    std::uint64_t shards = 0;
-    std::uint64_t trials = 0;
-    std::uint64_t busy_us = 0;
-};
-
 /**
  * One consistent sample of the live campaign, cheap enough to take
  * from an HTTP handler thread mid-run: unit/shard/trial progress,
  * every transport fault counter, throughput and an ETA, and the
- * per-host credit rows. Reading it never touches the tallies or the
+ * ledger's host rows. Reading it never touches the tallies or the
  * queue ordering, so sampling cannot perturb determinism.
  */
 struct DispatchStatus
@@ -75,15 +70,42 @@ struct DispatchStatus
     std::uint64_t shards_total = 0;
     std::uint64_t shards_done = 0; //!< includes resumed shards
     std::uint64_t trials_done = 0; //!< evaluated this run
-    /** Fault counters so far, as timing.fleet reports them (no
-        worker records). */
+    /** Plan facts and fault counters so far (no worker records). */
     obs::FleetTelemetry fleet;
     double elapsed_seconds = 0.0;
     double units_per_second = 0.0;
     /** Negative = unknown (nothing settled live yet). */
     double eta_seconds = -1.0;
-    std::vector<HostStatus> hosts;
+    /** Every host connection's row, the in-process fallback's too. */
+    std::vector<obs::FleetWorkerRecord> hosts;
 };
+
+/** One sample of the series fleet.host.<label>.<name>. */
+struct HostSample
+{
+    std::string label;
+    std::string name;
+    std::uint64_t value = 0;
+};
+
+/**
+ * The host-labelled series of @p hosts: per label, its units, shards
+ * and trials, then the counters its hosts shipped — summed over every
+ * row with that label, so a reconnecting agent reports as one host.
+ * Labels keep first-connection order. The one label merge: the
+ * campaign's fleet.host.* counters and /metrics both render from it.
+ */
+std::vector<HostSample>
+hostSeries(const std::vector<obs::FleetWorkerRecord>& hosts);
+
+/** The /status document: @p status as JSON. */
+std::string statusJson(const DispatchStatus& status);
+
+/**
+ * The /metrics document: @p status as Prometheus text, host series
+ * labelled by host (gpuecc_fleet_host_units{host="<label>"}).
+ */
+std::string statusMetricsText(const DispatchStatus& status);
 
 class FleetDispatch
 {
@@ -142,9 +164,11 @@ class FleetDispatch
     Status validateResult(const WorkerMessage& msg) const;
 
     /**
-     * Merge a validated result and settle the unit it names. Returns
+     * Merge a validated result, settle the unit it names and credit
+     * the row of the host that delivered it (msg.worker). Returns
      * false if that unit was already settled — a late or duplicated
-     * delivery, counted in fleet.duplicate_results, tallies untouched.
+     * delivery, counted in fleet.duplicate_results, tallies and
+     * credit untouched.
      */
     bool completeUnit(const WorkerMessage& msg,
                       Clock::time_point dispatch_at,
@@ -172,7 +196,7 @@ class FleetDispatch
      */
     void finishInProcess();
 
-    /** @name Transport telemetry (fleet.* counters + timing.fleet) */
+    /** @name Transport telemetry (fleet.* fault counters) */
     ///@{
     void noteWorkerLost();
     void noteWorkerTimeout();
@@ -180,27 +204,37 @@ class FleetDispatch
     void noteAuthFailure();
     ///@}
 
-    /** @name Observability plane */
+    /** @name The host ledger */
     ///@{
 
     /**
-     * Register a host connection — a forked local worker, an
-     * authenticated remote agent, or the in-process fallback. Call at
-     * config-send time: the instant is captured on both the steady
-     * and trace clocks and becomes the reference every span timestamp
-     * the host later ships is rebased against (a host's clock reads
-     * "µs since it received the config"). Journals the connect and
-     * counts remote ones in fleet.agents_connected.
+     * Add a ledger row for a host connection — a forked local worker
+     * (@p pid its process id), an authenticated remote agent, or the
+     * in-process fallback (worker -1). Call at config-send time: the
+     * instant is captured on both the steady and trace clocks and
+     * becomes the reference every span timestamp the host later ships
+     * is rebased against (a host's clock reads "µs since it received
+     * the config"). Journals the connect and counts remote ones in
+     * fleet.agents_connected. A local worker that could not be forked
+     * is registered too, then closed as lost.
      */
-    void registerHost(int worker, const std::string& label,
-                      bool remote);
+    void registerHost(int worker, const std::string& label, bool remote,
+                      std::int64_t pid = 0);
+
+    /**
+     * Record how @p worker's connection ended: a local worker's
+     * @p exit_code (0 for agents), and whether the host was @p lost —
+     * dead, retired or never started — before the queue drained.
+     * Counting a loss in fleet.workers_lost is noteWorkerLost's job.
+     */
+    void closeHost(int worker, int exit_code, bool lost);
 
     /** Journal one unit dispatch (host looked up by @p worker). */
     void noteUnitDispatched(std::uint64_t u, int worker);
 
     /**
      * Merge one telemetry or heartbeat line from a host: shipped
-     * counter deltas accumulate under the host's slot (surfaced at
+     * counter deltas accumulate on the host's row (surfaced at
      * finalize as fleet.host.<label>.<name> series), completed spans
      * queue for replay onto the host's trace track, and now_us (0 = no
      * sample) tightens the minimum-latency clock offset used to rebase
@@ -217,11 +251,12 @@ class FleetDispatch
 
     /**
      * Stop the clocks, flush the final checkpoint, drop failed
-     * schemes, fill timing.fleet (one dispatch slot per record), and
-     * return the campaign result. @p records is the per-host audit
-     * trail. Call once, after all liaisons joined.
+     * schemes, fill timing.fleet (its worker_records are the ledger's
+     * rows, minus the in-process fallback's) and the fleet.* counters,
+     * and return the campaign result. Call once, after all liaisons
+     * joined.
      */
-    CampaignResult finalize(std::vector<obs::FleetWorkerRecord> records);
+    CampaignResult finalize();
 
   private:
     FleetDispatch() = default;

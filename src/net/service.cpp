@@ -18,8 +18,6 @@
 #include "net/auth.hpp"
 #include "net/obs_http.hpp"
 #include "net/wire.hpp"
-#include "obs/exposition.hpp"
-#include "sim/report.hpp"
 
 namespace gpuecc::net {
 
@@ -49,141 +47,47 @@ elapsedMs(Clock::time_point since)
 }
 
 /**
- * One host and its liaison state: a forked local worker on a pipe
- * pair, or an authenticated agent on a TCP connection (one fd both
- * ways).
+ * One host's transport state: a forked local worker on a pipe pair,
+ * or an authenticated agent on a TCP connection (one fd both ways).
+ * Its credit and fate live in the dispatcher's ledger.
  */
 struct Host
 {
+    int worker = -1; //!< dense worker index (the ledger row's key)
+    bool remote = false;
+    std::string agent; //!< the agent's name ("" for local workers)
     int read_fd = -1;
     int write_fd = -1;
     std::int64_t pid = -1; //!< local workers only
     std::unique_ptr<LineReader> reader;
-    obs::FleetWorkerRecord record;
     std::thread thread;
 
     /** One line to the host: agents take the chaos-aware wire path,
         local pipes a plain write. */
     Status send(const std::string& line, int deadline_ms)
     {
-        return record.remote ? sendWireLine(write_fd, line, deadline_ms)
-                             : writeAllFd(write_fd, line, deadline_ms);
+        return remote ? sendWireLine(write_fd, line, deadline_ms)
+                      : writeAllFd(write_fd, line, deadline_ms);
     }
 
     /** Close the connection and reap a local worker (killing it
-        first when it is being retired). */
-    void close(bool kill)
+        first when it is being retired); returns its exit code (0 for
+        an agent). */
+    int close(bool kill)
     {
         if (write_fd != read_fd)
             closeFd(write_fd);
-        write_fd = -1;
         closeFd(read_fd);
+        write_fd = read_fd = -1;
         if (pid < 0)
-            return;
+            return 0;
         if (kill)
             killChild(pid);
         Result<int> exit = waitForExit(pid);
-        record.exit_code = exit.ok() ? exit.value() : -1;
         pid = -1;
+        return exit.ok() ? exit.value() : -1;
     }
 };
-
-/** The /status document: one DispatchStatus snapshot as JSON. */
-std::string
-renderStatusJson(const fleet::DispatchStatus& s)
-{
-    sim::JsonWriter w;
-    w.beginObject();
-    w.key("units").beginObject();
-    w.kv("total", s.units_total);
-    w.kv("settled", s.units_settled);
-    w.kv("resumed", s.units_resumed);
-    w.kv("in_flight", s.units_in_flight);
-    w.kv("queue_depth", s.queue_depth);
-    w.endObject();
-    w.key("shards").beginObject();
-    w.kv("total", s.shards_total);
-    w.kv("done", s.shards_done);
-    w.endObject();
-    w.kv("trials_done", s.trials_done);
-    w.key("fleet").beginObject();
-    w.kv("requeues", s.fleet.requeues);
-    w.kv("units_poisoned", s.fleet.units_poisoned);
-    w.kv("duplicate_results", s.fleet.duplicate_results);
-    w.kv("workers_lost", s.fleet.workers_lost);
-    w.kv("worker_timeouts", s.fleet.worker_timeouts);
-    w.kv("heartbeat_expiries", s.fleet.heartbeat_expiries);
-    w.kv("agents_connected", s.fleet.agents_connected);
-    w.kv("auth_failures", s.fleet.auth_failures);
-    w.endObject();
-    w.kv("elapsed_seconds", s.elapsed_seconds);
-    w.kv("units_per_second", s.units_per_second);
-    w.kv("eta_seconds", s.eta_seconds);
-    w.key("hosts").beginArray();
-    for (const fleet::HostStatus& h : s.hosts) {
-        w.beginObject();
-        w.kv("worker", static_cast<std::uint64_t>(
-                           h.worker < 0 ? 0 : h.worker));
-        w.kv("label", h.label);
-        w.kv("remote", h.remote);
-        w.kv("units", h.units);
-        w.kv("shards", h.shards);
-        w.kv("trials", h.trials);
-        w.kv("busy_seconds", static_cast<double>(h.busy_us) * 1e-6);
-        w.kv("units_per_second",
-             s.elapsed_seconds > 0.0
-                 ? static_cast<double>(h.units) / s.elapsed_seconds
-                 : 0.0);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
-}
-
-/** The /metrics document: the same snapshot as Prometheus text. */
-std::string
-renderMetricsText(const fleet::DispatchStatus& s)
-{
-    std::vector<obs::PromSample> samples = {
-        {"fleet.units_total", s.units_total},
-        {"fleet.units_settled", s.units_settled},
-        {"fleet.units_in_flight", s.units_in_flight},
-        {"fleet.shards_total", s.shards_total},
-        {"fleet.shards_done", s.shards_done},
-        {"fleet.trials_done", s.trials_done},
-        {"fleet.units_requeued", s.fleet.requeues},
-        {"fleet.units_poisoned", s.fleet.units_poisoned},
-        {"fleet.duplicate_results", s.fleet.duplicate_results},
-        {"fleet.workers_lost", s.fleet.workers_lost},
-        {"fleet.worker_timeouts", s.fleet.worker_timeouts},
-        {"fleet.heartbeat_expiries", s.fleet.heartbeat_expiries},
-        {"fleet.agents_connected", s.fleet.agents_connected},
-        {"fleet.auth_failures", s.fleet.auth_failures},
-    };
-    // Slots merge by label so a reconnecting agent reports one series
-    // per metric, same as the finalize-time merge.
-    std::vector<std::pair<std::string, fleet::HostStatus>> merged;
-    for (const fleet::HostStatus& h : s.hosts) {
-        auto it = std::find_if(
-            merged.begin(), merged.end(),
-            [&](const auto& m) { return m.first == h.label; });
-        if (it == merged.end()) {
-            merged.emplace_back(h.label, h);
-            continue;
-        }
-        it->second.units += h.units;
-        it->second.shards += h.shards;
-        it->second.trials += h.trials;
-    }
-    for (const auto& [label, h] : merged) {
-        const std::string prefix = "fleet.host." + label + ".";
-        samples.push_back({prefix + "units", h.units});
-        samples.push_back({prefix + "shards", h.shards});
-        samples.push_back({prefix + "trials", h.trials});
-    }
-    return obs::renderPrometheusText(samples);
-}
 
 } // namespace
 
@@ -287,10 +191,7 @@ FleetService::run()
         dispatch.initialPendingUnits()));
     const int beat_ms = std::max(1, heartbeat_ms / 4);
     for (int w = 0; w < local_count; ++w) {
-        auto host = std::make_unique<Host>();
-        Host& H = *host;
-        hosts.push_back(std::move(host));
-        H.record.worker = w;
+        const std::string label = "local-" + std::to_string(w);
         Result<ChildProcess> child = spawnChild(
             [beat_ms](int read_fd, int write_fd) {
                 return fleet::fleetWorkerMain(read_fd, write_fd,
@@ -300,25 +201,29 @@ FleetService::run()
         if (!child.ok()) {
             warn("fleet: cannot fork worker " + std::to_string(w) +
                  ": " + child.status().toString());
-            H.record.lost = true;
+            dispatch.registerHost(w, label, false);
+            dispatch.closeHost(w, 0, true);
             continue;
         }
-        H.pid = H.record.pid = child.value().pid;
+        auto host = std::make_unique<Host>();
+        Host& H = *host;
+        hosts.push_back(std::move(host));
+        H.worker = w;
+        H.pid = child.value().pid;
         H.read_fd = child.value().from_child;
         H.write_fd = child.value().to_child;
         H.reader = std::make_unique<LineReader>(
             H.read_fd, fleet::kMaxWireLineBytes);
         inherited_fds.push_back(H.read_fd);
         inherited_fds.push_back(H.write_fd);
-        dispatch.registerHost(w, "local-" + std::to_string(w), false);
+        dispatch.registerHost(w, label, false, H.pid);
         if (Status s = H.send(fleet::encodeConfigLine(
                                   dispatch.configFor(w)),
                               -1);
             !s.ok()) {
             warn("fleet: worker " + std::to_string(w) +
                  " rejected its config: " + s.toString());
-            H.record.lost = true;
-            H.close(true);
+            dispatch.closeHost(w, H.close(true), true);
         }
     }
 
@@ -330,11 +235,11 @@ FleetService::run()
             if (path == "/metrics") {
                 out.found = true;
                 out.content_type = "text/plain; version=0.0.4";
-                out.body = renderMetricsText(dispatch.status());
+                out.body = fleet::statusMetricsText(dispatch.status());
             } else if (path == "/status") {
                 out.found = true;
                 out.content_type = "application/json";
-                out.body = renderStatusJson(dispatch.status());
+                out.body = fleet::statusJson(dispatch.status());
             }
             return out;
         });
@@ -356,19 +261,17 @@ FleetService::run()
             if (in_flight != nullptr)
                 dispatch.requeueUnit(*in_flight, why);
             warn("fleet: losing " +
-                 (H.record.remote ? "agent '" + H.record.agent + "'"
-                                  : std::string("local worker")) +
-                 " (worker " + std::to_string(H.record.worker) +
-                 "): " + why);
-            H.record.lost = true;
-            H.close(true);
+                 (H.remote ? "agent '" + H.agent + "'"
+                           : std::string("local worker")) +
+                 " (worker " + std::to_string(H.worker) + "): " + why);
+            dispatch.closeHost(H.worker, H.close(true), true);
             dispatch.noteWorkerLost();
         };
         const auto hangUp = [&] {
             // Best-effort: a host that is already gone just fails the
             // write, which is fine — we are hanging up either way.
             (void)H.send(fleet::encodeShutdownLine(), 1000);
-            H.close(false);
+            dispatch.closeHost(H.worker, H.close(false), false);
         };
 
         // Read one host line within @p slice_ms. Heartbeats and
@@ -404,6 +307,9 @@ FleetService::run()
                 return Got::lost;
             }
             msg = std::move(decoded).value();
+            // The connection, not the peer, names the host a line is
+            // credited to.
+            msg.worker = H.worker;
             if (msg.kind == fleet::WorkerMessage::Kind::heartbeat ||
                 msg.kind == fleet::WorkerMessage::Kind::telemetry) {
                 // Telemetry ships ahead of the settlement it
@@ -436,7 +342,7 @@ FleetService::run()
             }
 
             const fleet::WorkUnit& unit = dispatch.unit(u);
-            dispatch.noteUnitDispatched(u, H.record.worker);
+            dispatch.noteUnitDispatched(u, H.worker);
             const auto dispatch_at = Clock::now();
             if (Status sent =
                     H.send(fleet::encodeUnitLine(unit), heartbeat_ms);
@@ -499,16 +405,7 @@ FleetService::run()
                     lose(&u, valid.toString());
                     return;
                 }
-                if (dispatch.completeUnit(msg, dispatch_at, Clock::now()) &&
-                    msg.unit == u) {
-                    H.record.units += 1;
-                    H.record.shards += unit.task_count;
-                    for (const sim::CheckpointEntry& e :
-                         msg.checkpoint.done)
-                        H.record.trials += e.counts.trials;
-                    H.record.busy_seconds +=
-                        static_cast<double>(msg.busy_us) * 1e-6;
-                }
+                dispatch.completeUnit(msg, dispatch_at, Clock::now());
                 if (msg.unit == u)
                     break;
             }
@@ -522,15 +419,15 @@ FleetService::run()
         });
     };
     for (auto& host : hosts) {
-        if (!host->record.lost)
+        if (host->read_fd >= 0)
             startLiaison(*host);
     }
 
-    // Challenge-response handshake on a fresh connection; fills the
-    // host's record (worker index, agent name) and primes its reader.
+    // Challenge-response handshake on a fresh connection; learns the
+    // agent's name and primes the host's reader.
     const auto handshake = [&](int fd, Host& H) -> Status {
         H.read_fd = H.write_fd = fd;
-        H.record.remote = true;
+        H.remote = true;
         H.reader = std::make_unique<LineReader>(
             fd, fleet::kMaxWireLineBytes);
         const std::string nonce = makeNonceHex();
@@ -556,23 +453,22 @@ FleetService::run()
                 "agent '" + auth.value().agent +
                 "' failed authentication");
         }
-        H.record.agent = auth.value().agent;
+        H.agent = auth.value().agent;
         if (Status s = H.send(
                 fleet::encodeWelcomeLine(
-                    H.record.worker,
-                    serverMac(spec_.fleet_secret, nonce)),
+                    H.worker, serverMac(spec_.fleet_secret, nonce)),
                 kHandshakeMs);
             !s.ok())
             return s;
         if (Status s = H.send(fleet::encodeConfigLine(
-                                  dispatch.configFor(H.record.worker)),
+                                  dispatch.configFor(H.worker)),
                               kHandshakeMs);
             !s.ok())
             return s;
         // Registration is the clock-rebasing reference: the host's
         // telemetry timestamps count from its config receipt, which
         // happened within one network hop of right now.
-        dispatch.registerHost(H.record.worker, H.record.agent, true);
+        dispatch.registerHost(H.worker, H.agent, true);
         return Status{};
     };
 
@@ -601,7 +497,7 @@ FleetService::run()
             break;
         }
         auto host = std::make_unique<Host>();
-        host->record.worker = spec_.fleet_workers + agent_seq;
+        host->worker = spec_.fleet_workers + agent_seq;
         if (Status s = handshake(accepted.value(), *host); !s.ok()) {
             if (s.code() == ErrorCode::failedPrecondition)
                 dispatch.noteAuthFailure();
@@ -632,10 +528,7 @@ FleetService::run()
     if (obs_server_)
         obs_server_->stop();
 
-    std::vector<obs::FleetWorkerRecord> records;
-    for (const auto& host : hosts)
-        records.push_back(host->record);
-    return dispatch.finalize(std::move(records));
+    return dispatch.finalize();
 }
 
 Result<sim::CampaignResult>

@@ -15,23 +15,6 @@ legalNameChar(char c, bool first)
     return !first && c >= '0' && c <= '9';
 }
 
-/** Split "fleet.host.<id>.<rest>" into (id, rest); false otherwise. */
-bool
-splitHostSeries(const std::string& dotted, std::string* host,
-                std::string* rest)
-{
-    static const std::string kPrefix = "fleet.host.";
-    if (dotted.rfind(kPrefix, 0) != 0)
-        return false;
-    const std::size_t id_begin = kPrefix.size();
-    const std::size_t id_end = dotted.find('.', id_begin);
-    if (id_end == std::string::npos || id_end + 1 >= dotted.size())
-        return false;
-    *host = dotted.substr(id_begin, id_end - id_begin);
-    *rest = dotted.substr(id_end + 1);
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -66,9 +49,8 @@ prometheusLabelValue(const std::string& value)
 std::string
 renderPrometheusText(const std::vector<PromSample>& samples)
 {
-    // Group host series into families keyed by their <rest> suffix so
-    // every host's sample sits under one TYPE header; plain samples
-    // are single-sample families. First-appearance order throughout.
+    // Group samples into families by name so every host's sample sits
+    // under one TYPE header. First-appearance order throughout.
     struct Family
     {
         std::string metric;                 //!< rendered metric name
@@ -77,27 +59,16 @@ renderPrometheusText(const std::vector<PromSample>& samples)
     std::vector<Family> families;
     std::map<std::string, std::size_t> index;
 
-    const auto family = [&](const std::string& metric) -> Family& {
+    for (const PromSample& s : samples) {
+        const std::string metric = prometheusName(s.name);
         auto [it, fresh] = index.emplace(metric, families.size());
         if (fresh)
             families.push_back({metric, {}});
-        return families[it->second];
-    };
-
-    for (const PromSample& s : samples) {
-        std::string host;
-        std::string rest;
-        if (splitHostSeries(s.name, &host, &rest)) {
-            const std::string metric =
-                prometheusName("fleet.host." + rest);
-            family(metric).lines.push_back(
-                metric + "{host=\"" + prometheusLabelValue(host) +
-                "\"} " + std::to_string(s.value));
-        } else {
-            const std::string metric = prometheusName(s.name);
-            family(metric).lines.push_back(
-                metric + " " + std::to_string(s.value));
-        }
+        std::string line = metric;
+        if (!s.host.empty())
+            line += "{host=\"" + prometheusLabelValue(s.host) + "\"}";
+        families[it->second].lines.push_back(
+            line + " " + std::to_string(s.value));
     }
 
     std::string out;

@@ -3,15 +3,16 @@
  * Prometheus text exposition for campaign metrics.
  *
  * Pure rendering: dotted metric names ("fleet.units_settled") become
- * Prometheus-legal names ("gpuecc_fleet_units_settled"), and the
- * host-labelled series the fleet dispatcher aggregates
- * ("fleet.host.<id>.<rest>") become one metric family per <rest> with
- * a host label ("gpuecc_fleet_host_<rest>{host=\"<id>\"}") so a
- * scrape can sum per-host unit counters across the fleet. No I/O and
- * no registry access here — the caller (net/obs_http's handler)
- * passes a consistent sample set and this module only formats it,
- * which is what keeps the live endpoint incapable of perturbing
- * campaign determinism.
+ * Prometheus-legal names ("gpuecc_fleet_units_settled"), and samples
+ * that carry a host label render as one metric family per name with
+ * a host label ("gpuecc_fleet_host_units{host=\"<label>\"}") so a
+ * scrape can sum per-host unit counters across the fleet. Labels
+ * arrive as data, never parsed out of a name, so any label — dotted
+ * ones included — lands in the right family. No I/O and no registry
+ * access here — the caller (the fleet's /metrics view) passes a
+ * consistent sample set and this module only formats it, which is
+ * what keeps the live endpoint incapable of perturbing campaign
+ * determinism.
  */
 
 #ifndef GPUECC_OBS_EXPOSITION_HPP
@@ -26,8 +27,10 @@ namespace gpuecc::obs {
 /** One counter sample under its dotted internal name. */
 struct PromSample
 {
-    std::string name; //!< dotted, e.g. "fleet.host.alpha.units"
+    std::string name; //!< dotted, e.g. "fleet.host.units"
     std::uint64_t value = 0;
+    /** Host label ("" = an unlabelled sample). */
+    std::string host = {};
 };
 
 /**
@@ -44,10 +47,9 @@ std::string prometheusLabelValue(const std::string& value);
 
 /**
  * Render samples as Prometheus text format (version 0.0.4). Samples
- * named "fleet.host.<id>.<rest>" are grouped into one family per
- * <rest> with a host="<id>" label; everything else renders as a plain
- * counter. Families keep first-appearance order; a "# TYPE ... counter"
- * header precedes each family.
+ * group into one family per name, each labelled host="<host>" when it
+ * has one. Families keep first-appearance order; a
+ * "# TYPE ... counter" header precedes each family.
  */
 std::string
 renderPrometheusText(const std::vector<PromSample>& samples);

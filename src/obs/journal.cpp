@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/json_escape.hpp"
 #include "common/log.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -10,48 +11,6 @@
 #endif
 
 namespace gpuecc::obs {
-
-namespace {
-
-/** Minimal JSON string escaper (obs cannot depend on sim/report). */
-std::string
-escaped(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 Result<std::unique_ptr<EventJournal>>
 EventJournal::open(const std::string& path)
@@ -90,11 +49,11 @@ EventJournal::append(const std::string& event, const Fields& fields,
     std::string line = "{\"v\":" + std::to_string(kJournalVersion) +
                        ",\"seq\":" + std::to_string(seq_ + 1) +
                        ",\"ts_us\":" + std::to_string(ts_us) +
-                       ",\"event\":\"" + escaped(event) + "\"";
+                       ",\"event\":\"" + jsonEscaped(event) + "\"";
     for (const auto& [k, v] : fields)
-        line += ",\"" + escaped(k) + "\":\"" + escaped(v) + "\"";
+        line += ",\"" + jsonEscaped(k) + "\":\"" + jsonEscaped(v) + "\"";
     for (const auto& [k, v] : nums)
-        line += ",\"" + escaped(k) + "\":" + std::to_string(v);
+        line += ",\"" + jsonEscaped(k) + "\":" + std::to_string(v);
     line += "}\n";
 
     // Write-through: the same durability discipline the checkpoint

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gpuecc::obs {
@@ -69,19 +70,30 @@ struct SchemeTiming
     std::uint64_t trials = 0;
 };
 
-/** One fleet worker process's execution record (audit trail). */
+/**
+ * One fleet host connection's row in the dispatcher's ledger: a
+ * forked local worker, an agent connection, or the in-process
+ * fallback. The credit fields count settled units only, once each;
+ * /status, /metrics, timing.fleet.worker_records and the
+ * fleet.host.<label>.* series all render from these rows.
+ */
 struct FleetWorkerRecord
 {
-    int worker = 0;         //!< dense worker index
+    int worker = 0;         //!< dense worker index (-1: the fallback)
+    /** "local-<worker>", the agent's name, or "parent". */
+    std::string label;
     std::int64_t pid = 0;   //!< OS process id (provenance only)
     std::uint64_t units = 0;  //!< work units completed
     std::uint64_t shards = 0; //!< shard tasks inside those units
     std::uint64_t trials = 0;
     /** In-worker evaluation time (its own clock, summed per unit). */
     double busy_seconds = 0.0;
+    /** Counter deltas the host shipped, accumulated by name. */
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
     /** Exit code (128 + signal for a signalled death). */
     int exit_code = 0;
-    /** Died (or broke protocol) before the queue drained. */
+    /** Died, broke protocol or never started before the queue
+        drained. */
     bool lost = false;
     /** Served over a socket by a remote agent (pid is meaningless). */
     bool remote = false;
@@ -95,15 +107,17 @@ struct FleetTelemetry
     int workers = 0;
     std::uint64_t units = 0;        //!< work units in the plan
     std::uint64_t unit_shards = 0;  //!< shard tasks per unit (max)
-    /** Units re-queued after a worker died mid-unit. */
-    std::uint64_t requeues = 0;
-    std::uint64_t workers_lost = 0;
     /** Shard tasks the parent evaluated itself (all workers lost). */
     std::uint64_t parent_fallback_shards = 0;
+    /** @name Fault counters (see kFleetFaultCounters) */
+    ///@{
+    /** Units re-queued after a worker died mid-unit. */
+    std::uint64_t requeues = 0;
     /** Units retired at the requeue-attempt cap (cell failed). */
     std::uint64_t units_poisoned = 0;
     /** Late/duplicated result lines discarded by idempotent merge. */
     std::uint64_t duplicate_results = 0;
+    std::uint64_t workers_lost = 0;
     /** Hosts retired by the in-flight unit deadline. */
     std::uint64_t worker_timeouts = 0;
     /** Remote agents retired for wire silence (missed heartbeats). */
@@ -112,7 +126,39 @@ struct FleetTelemetry
     std::uint64_t agents_connected = 0;
     /** Connections rejected by the shared-secret handshake. */
     std::uint64_t auth_failures = 0;
+    ///@}
+    /** One row per forked worker, then one per agent connection. */
     std::vector<FleetWorkerRecord> worker_records;
+};
+
+/** One fault counter: its report key, its metric name, its field. */
+struct FleetFaultCounter
+{
+    const char* key;    //!< timing.fleet and /status key
+    const char* metric; //!< timing.counters and /metrics name
+    std::uint64_t FleetTelemetry::*field;
+};
+
+/**
+ * The fleet's fault counters, in report order — the one table every
+ * view of them (/status, /metrics, timing.fleet, timing.counters)
+ * renders from.
+ */
+inline constexpr FleetFaultCounter kFleetFaultCounters[] = {
+    {"requeues", "fleet.units_requeued", &FleetTelemetry::requeues},
+    {"units_poisoned", "fleet.units_poisoned",
+     &FleetTelemetry::units_poisoned},
+    {"duplicate_results", "fleet.duplicate_results",
+     &FleetTelemetry::duplicate_results},
+    {"workers_lost", "fleet.workers_lost", &FleetTelemetry::workers_lost},
+    {"worker_timeouts", "fleet.worker_timeouts",
+     &FleetTelemetry::worker_timeouts},
+    {"heartbeat_expiries", "fleet.heartbeat_expiries",
+     &FleetTelemetry::heartbeat_expiries},
+    {"agents_connected", "fleet.agents_connected",
+     &FleetTelemetry::agents_connected},
+    {"auth_failures", "fleet.auth_failures",
+     &FleetTelemetry::auth_failures},
 };
 
 /** Provenance block embedded in reports and checkpoints. */
@@ -135,13 +181,6 @@ struct RunManifest
     bool affinity = false;
     std::vector<std::string> schemes;
     bool traced = false;
-    /**
-     * Per-host execution records for fleet runs (empty otherwise, so
-     * in-process manifests keep their pre-fleet shape byte-for-byte).
-     * tools/compare_runs diffs this section with older-baseline
-     * tolerance: a baseline without it compares clean.
-     */
-    std::vector<FleetWorkerRecord> hosts;
 };
 
 /** The GPUECC_CHAOS environment text ("" when unset). */

@@ -11,6 +11,8 @@
 
 #include <unistd.h>
 
+#include "common/json_escape.hpp"
+
 namespace gpuecc::obs {
 
 namespace {
@@ -77,29 +79,6 @@ record(Event event)
     ThreadBuffer& buf = bufferForThread();
     std::lock_guard<std::mutex> lock(buf.mutex);
     buf.events.push_back(std::move(event));
-}
-
-void
-appendJsonEscaped(std::string& out, const std::string& text)
-{
-    for (char ch : text) {
-        const auto u = static_cast<unsigned char>(ch);
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (u < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof hex, "\\u%04x", u);
-                out += hex;
-            } else {
-                out += ch;
-            }
-        }
-    }
 }
 
 void

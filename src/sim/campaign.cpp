@@ -93,31 +93,17 @@ CampaignRunner::run() const
 
 namespace {
 
-/** Ids of the campaign.* metrics, registered once per process. */
-struct CampaignMetricIds
-{
-    obs::MetricId shards_completed;
-    obs::MetricId trials;
-    obs::MetricId shard_micros;
-};
-
-const CampaignMetricIds&
-campaignMetricIds()
+/** Id of the campaign.shard_micros histogram. */
+obs::MetricId
+shardMicrosMetric()
 {
     // Registration happens here, on the first campaign's calling
     // thread, before any pool exists — the register-before-spawn
     // contract the lock-free metric hot path relies on.
-    static const CampaignMetricIds ids = [] {
-        obs::MetricsRegistry& m = obs::metrics();
-        CampaignMetricIds out;
-        out.shards_completed = m.counter("campaign.shards_completed");
-        out.trials = m.counter("campaign.trials");
-        out.shard_micros = m.histogram(
-            "campaign.shard_micros",
-            {100, 1000, 10000, 100000, 1000000, 10000000});
-        return out;
-    }();
-    return ids;
+    static const obs::MetricId id = obs::metrics().histogram(
+        "campaign.shard_micros",
+        {100, 1000, 10000, 100000, 1000000, 10000000});
+    return id;
 }
 
 } // namespace
@@ -132,7 +118,7 @@ CampaignRunner::tryRun() const
     if (spec_.fleet_workers > 0 || !spec_.fleet_listen.empty())
         return net::runFleetService(spec_);
 
-    const CampaignMetricIds& mid = campaignMetricIds();
+    const obs::MetricId shard_micros = shardMicrosMetric();
     obs::MetricsRegistry& reg = obs::metrics();
     obs::TraceSpan campaign_span("campaign", "campaign");
 
@@ -193,9 +179,7 @@ CampaignRunner::tryRun() const
         // Telemetry: thread-local metric shards only.
         const std::uint64_t shard_us =
             microsBetween(shard_start, shard_stop);
-        reg.add(mid.shards_completed);
-        reg.add(mid.trials, counts.value().trials);
-        reg.observe(mid.shard_micros, shard_us);
+        reg.observe(shard_micros, shard_us);
         core.complete({{i, counts.value()}}, shard_us, shard_start,
                       shard_stop);
     };

@@ -169,6 +169,8 @@ CampaignCore::create(const CampaignSpec& spec, Driver driver,
     CampaignCore& c = *core;
     c.name_ = driver == Driver::fleet ? "fleet" : "campaign";
     obs::MetricsRegistry& reg = obs::metrics();
+    c.shards_completed_ = reg.counter(c.name_ + ".shards_completed");
+    c.trials_ = reg.counter(c.name_ + ".trials");
     c.checkpoint_flushes_ = reg.counter(c.name_ + ".checkpoint_flushes");
     c.checkpoint_failures_ =
         reg.counter(c.name_ + ".checkpoint_failures");
@@ -302,6 +304,7 @@ CampaignCore::start()
             1, std::memory_order_relaxed);
         ++totals.shards;
     }
+    pending_at_start_ = totals.shards;
     progress_ =
         std::make_unique<obs::ProgressReporter>(result_.spec.progress, totals);
     for (std::size_t s = 0; s < plan_.schemes.size(); ++s) {
@@ -341,6 +344,9 @@ CampaignCore::complete(const std::vector<CheckpointEntry>& entries,
         trials += e.counts.trials;
         progress_->shardDone(e.counts.trials);
     }
+    obs::MetricsRegistry& reg = obs::metrics();
+    reg.add(shards_completed_, entries.size());
+    reg.add(trials_, trials);
     clock.busy_us.fetch_add(busy_us, std::memory_order_relaxed);
     clock.trials.fetch_add(trials, std::memory_order_relaxed);
     clock.shards.fetch_add(entries.size(), std::memory_order_relaxed);
@@ -401,6 +407,24 @@ CampaignCore::elapsedSeconds() const
                                                     start_at_)
                           .count()
                     : 0.0;
+}
+
+std::uint64_t
+CampaignCore::shardsDone() const
+{
+    std::uint64_t pending = 0;
+    for (std::size_t s = 0; s < plan_.schemes.size(); ++s)
+        pending += clocks_[s].pending.load(std::memory_order_relaxed);
+    return result_.resumed_shards + pending_at_start_ - pending;
+}
+
+std::uint64_t
+CampaignCore::trialsDone() const
+{
+    std::uint64_t trials = 0;
+    for (std::size_t s = 0; s < plan_.schemes.size(); ++s)
+        trials += clocks_[s].trials.load(std::memory_order_relaxed);
+    return trials;
 }
 
 Status

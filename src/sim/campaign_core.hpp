@@ -184,10 +184,11 @@ class CampaignCore
 
     /**
      * Account freshly evaluated @p entries of one cell, evaluated
-     * between @p began and @p ended with @p busy_us of compute:
-     * scheme clocks, progress, the checkpoint ledger (with its
-     * interval flush) and the chaos kill-point. Cell tallies are the
-     * driver's to merge.
+     * between @p began and @p ended with @p busy_us of compute: the
+     * <driver>.shards_completed and <driver>.trials counters, scheme
+     * clocks, progress, the checkpoint ledger (with its interval
+     * flush) and the chaos kill-point. Cell tallies are the driver's
+     * to merge.
      */
     void complete(const std::vector<CheckpointEntry>& entries,
                   std::uint64_t busy_us, Clock::time_point began,
@@ -205,6 +206,15 @@ class CampaignCore
 
     /** Seconds since start() (0 before it). */
     double elapsedSeconds() const;
+
+    /**
+     * Shard tasks accounted so far: restored, completed, failed or
+     * skipped. Safe from any thread — the live progress views read it.
+     */
+    std::uint64_t shardsDone() const;
+
+    /** Trials completed by this run (restored ones excluded). */
+    std::uint64_t trialsDone() const;
 
     /**
      * Stop the clocks, flush the final checkpoint (complete on
@@ -225,6 +235,8 @@ class CampaignCore
     struct SchemeClock;
 
     std::string name_; //!< "campaign" or "fleet"
+    obs::MetricId shards_completed_ = 0;
+    obs::MetricId trials_ = 0;
     obs::MetricId checkpoint_flushes_ = 0;
     obs::MetricId checkpoint_failures_ = 0;
     obs::MetricId schemes_dropped_ = 0;
@@ -238,6 +250,8 @@ class CampaignCore
     std::unique_ptr<obs::ProgressReporter> progress_;
     bool resume_found_ = false;
     bool started_ = false;
+    /** Tasks pending at start(): the countdowns' starting sum. */
+    std::uint64_t pending_at_start_ = 0;
     Clock::time_point start_at_;
     double cpu_start_ = 0.0;
     std::uint64_t trace_eval_start_us_ = 0;

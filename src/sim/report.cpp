@@ -10,6 +10,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/json_escape.hpp"
 #include "common/log.hpp"
 #include "gf256/gf256_vec.hpp"
 #include "obs/trace.hpp"
@@ -17,38 +18,6 @@
 namespace gpuecc::sim {
 
 namespace {
-
-std::string
-escapeJson(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 formatDouble(double v)
@@ -106,7 +75,7 @@ JsonWriter&
 JsonWriter::key(const std::string& k)
 {
     separate();
-    out_ += '"' + escapeJson(k) + "\":";
+    out_ += '"' + jsonEscaped(k) + "\":";
     // The upcoming value must not emit another separator.
     need_comma_.back() = false;
     return *this;
@@ -116,7 +85,7 @@ JsonWriter&
 JsonWriter::value(const std::string& v)
 {
     separate();
-    out_ += '"' + escapeJson(v) + '"';
+    out_ += '"' + jsonEscaped(v) + '"';
     return *this;
 }
 
@@ -218,7 +187,6 @@ campaignRunManifest(const CampaignResult& result)
     m.affinity = result.pool.affinity;
     m.schemes = result.spec.scheme_ids;
     m.traced = obs::traceEnabled();
-    m.hosts = result.fleet.worker_records;
     return m;
 }
 
@@ -245,26 +213,24 @@ writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest)
         w.value(id);
     w.endArray();
     w.kv("traced", manifest.traced);
-    // Only fleet runs carry host records; omitting the key otherwise
-    // keeps in-process manifests byte-identical to pre-fleet ones.
-    if (!manifest.hosts.empty()) {
-        w.key("hosts").beginArray();
-        for (const obs::FleetWorkerRecord& h : manifest.hosts) {
-            w.beginObject();
-            w.kv("worker", h.worker);
-            w.kv("agent", h.agent);
-            w.kv("remote", h.remote);
-            w.kv("units", h.units);
-            w.kv("shards", h.shards);
-            w.kv("trials", h.trials);
-            w.kv("busy_seconds", h.busy_seconds);
-            w.kv("exit_code", h.exit_code);
-            w.kv("lost", h.lost);
-            w.endObject();
-        }
-        w.endArray();
-    }
     w.endObject();
+}
+
+void
+writeFleetWorkerRecord(JsonWriter& w, const obs::FleetWorkerRecord& r)
+{
+    // The fallback's worker index (-1) reads as 0, like its pid.
+    w.kv("worker", r.worker < 0 ? 0 : r.worker);
+    w.kv("pid", static_cast<std::uint64_t>(r.pid < 0 ? 0 : r.pid));
+    w.kv("units", r.units);
+    w.kv("shards", r.shards);
+    w.kv("trials", r.trials);
+    w.kv("busy_seconds", r.busy_seconds);
+    w.kv("exit_code", r.exit_code);
+    w.kv("lost", r.lost);
+    w.kv("remote", r.remote);
+    w.kv("agent", r.agent);
+    w.kv("label", r.label);
 }
 
 void
@@ -307,29 +273,13 @@ writeCampaignTiming(JsonWriter& w, const CampaignResult& result)
         w.kv("workers", f.workers);
         w.kv("units", f.units);
         w.kv("unit_shards", f.unit_shards);
-        w.kv("requeues", f.requeues);
-        w.kv("workers_lost", f.workers_lost);
         w.kv("parent_fallback_shards", f.parent_fallback_shards);
-        w.kv("units_poisoned", f.units_poisoned);
-        w.kv("duplicate_results", f.duplicate_results);
-        w.kv("worker_timeouts", f.worker_timeouts);
-        w.kv("heartbeat_expiries", f.heartbeat_expiries);
-        w.kv("agents_connected", f.agents_connected);
-        w.kv("auth_failures", f.auth_failures);
+        for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
+            w.kv(c.key, f.*c.field);
         w.key("worker_records").beginArray();
         for (const obs::FleetWorkerRecord& r : f.worker_records) {
             w.beginObject();
-            w.kv("worker", r.worker);
-            w.kv("pid", static_cast<std::uint64_t>(
-                            r.pid < 0 ? 0 : r.pid));
-            w.kv("units", r.units);
-            w.kv("shards", r.shards);
-            w.kv("trials", r.trials);
-            w.kv("busy_seconds", r.busy_seconds);
-            w.kv("exit_code", r.exit_code);
-            w.kv("lost", r.lost);
-            w.kv("remote", r.remote);
-            w.kv("agent", r.agent);
+            writeFleetWorkerRecord(w, r);
             w.endObject();
         }
         w.endArray();

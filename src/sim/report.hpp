@@ -83,6 +83,14 @@ obs::RunManifest campaignRunManifest(const CampaignResult& result);
 void writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest);
 
 /**
+ * Write one fleet host row's fields into the open JSON object — the
+ * one row serializer behind timing.fleet.worker_records and the live
+ * /status hosts.
+ */
+void writeFleetWorkerRecord(JsonWriter& w,
+                            const obs::FleetWorkerRecord& record);
+
+/**
  * Serialize a campaign's timing section as the next JSON value:
  * wall/CPU seconds, throughput, pool telemetry, per-scheme timings,
  * and the campaign.* metric counters/histograms recorded by the run.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -43,6 +44,65 @@ expectCellsIdentical(const sim::CampaignResult& a,
         EXPECT_EQ(x.sdc, y.sdc) << "cell " << i;
         EXPECT_EQ(x.exhaustive, y.exhaustive) << "cell " << i;
     }
+}
+
+/**
+ * Every view of the fleet ledger agrees: the worker records, plus the
+ * in-process fallback's series when it ran, sum to the host-labelled
+ * series, which sum to the fleet's completion counters and the
+ * merged tallies.
+ */
+void
+expectLedgerViewsAgree(const sim::CampaignResult& r)
+{
+    const auto counter = [&](const std::string& name) {
+        const obs::CounterValue* c = r.metrics.findCounter(name);
+        return c != nullptr ? c->value : std::uint64_t{0};
+    };
+    std::uint64_t units = 0;
+    std::uint64_t shards = 0;
+    std::uint64_t trials = 0;
+    std::vector<std::string> labels;
+    for (const obs::FleetWorkerRecord& w : r.fleet.worker_records) {
+        units += w.units;
+        shards += w.shards;
+        trials += w.trials;
+        if (std::find(labels.begin(), labels.end(), w.label) ==
+            labels.end())
+            labels.push_back(w.label);
+    }
+    if (r.metrics.findCounter("fleet.host.parent.units") != nullptr) {
+        units += counter("fleet.host.parent.units");
+        shards += counter("fleet.host.parent.shards");
+        trials += counter("fleet.host.parent.trials");
+        labels.push_back("parent");
+    }
+    std::uint64_t series_units = 0;
+    std::uint64_t series_shards = 0;
+    std::uint64_t series_trials = 0;
+    std::size_t unit_series = 0;
+    for (const obs::CounterValue& c : r.metrics.counters) {
+        if (c.name.rfind("fleet.host.", 0) != 0)
+            continue;
+        for (const std::string& label : labels) {
+            const std::string prefix = "fleet.host." + label + ".";
+            if (c.name == prefix + "units") {
+                series_units += c.value;
+                ++unit_series;
+            } else if (c.name == prefix + "shards") {
+                series_shards += c.value;
+            } else if (c.name == prefix + "trials") {
+                series_trials += c.value;
+            }
+        }
+    }
+    EXPECT_EQ(unit_series, labels.size()); // one series per label
+    EXPECT_EQ(units, series_units);
+    EXPECT_EQ(shards, series_shards);
+    EXPECT_EQ(trials, series_trials);
+    EXPECT_EQ(series_units, counter("fleet.units_completed"));
+    EXPECT_EQ(series_shards, counter("fleet.shards_completed"));
+    EXPECT_EQ(series_trials, r.totalTrials());
 }
 
 sim::CampaignSpec
@@ -214,6 +274,16 @@ TEST(Fleet, KilledWorkerUnitIsRequeuedBitIdentically)
     EXPECT_FALSE(fleet.fleet.worker_records[0].lost);
     EXPECT_TRUE(fleet.errors.empty());
     expectCellsIdentical(reference, fleet);
+
+    // One row per forked worker, in fork order, with its fate.
+    const auto& records = fleet.fleet.worker_records;
+    EXPECT_EQ(records[0].worker, 0);
+    EXPECT_EQ(records[1].worker, 1);
+    EXPECT_EQ(records[0].label, "local-0");
+    EXPECT_EQ(records[1].label, "local-1");
+    EXPECT_EQ(records[0].exit_code, 0);
+    EXPECT_EQ(records[1].exit_code, sim::kChaosFleetExitCode);
+    expectLedgerViewsAgree(fleet);
 }
 
 TEST(Fleet, AllWorkersLostFallsBackToParent)
@@ -383,7 +453,7 @@ TEST(FleetDispatch, IdleWaitWakesOnRequeueAndLastSettlement)
     EXPECT_FALSE(claimed);
     EXPECT_LT(waited, 30.0);
     EXPECT_TRUE(dispatch.allSettled());
-    dispatch.finalize({});
+    dispatch.finalize();
 }
 
 TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)

@@ -396,6 +396,65 @@ expectCellsIdentical(const sim::CampaignResult& a,
 }
 
 /**
+ * Every view of the fleet ledger agrees: the worker records, plus the
+ * in-process fallback's series when it ran, sum to the host-labelled
+ * series, which sum to the fleet's completion counters and the
+ * merged tallies.
+ */
+void
+expectLedgerViewsAgree(const sim::CampaignResult& r)
+{
+    const auto counter = [&](const std::string& name) {
+        const obs::CounterValue* c = r.metrics.findCounter(name);
+        return c != nullptr ? c->value : std::uint64_t{0};
+    };
+    std::uint64_t units = 0;
+    std::uint64_t shards = 0;
+    std::uint64_t trials = 0;
+    std::vector<std::string> labels;
+    for (const obs::FleetWorkerRecord& w : r.fleet.worker_records) {
+        units += w.units;
+        shards += w.shards;
+        trials += w.trials;
+        if (std::find(labels.begin(), labels.end(), w.label) ==
+            labels.end())
+            labels.push_back(w.label);
+    }
+    if (r.metrics.findCounter("fleet.host.parent.units") != nullptr) {
+        units += counter("fleet.host.parent.units");
+        shards += counter("fleet.host.parent.shards");
+        trials += counter("fleet.host.parent.trials");
+        labels.push_back("parent");
+    }
+    std::uint64_t series_units = 0;
+    std::uint64_t series_shards = 0;
+    std::uint64_t series_trials = 0;
+    std::size_t unit_series = 0;
+    for (const obs::CounterValue& c : r.metrics.counters) {
+        if (c.name.rfind("fleet.host.", 0) != 0)
+            continue;
+        for (const std::string& label : labels) {
+            const std::string prefix = "fleet.host." + label + ".";
+            if (c.name == prefix + "units") {
+                series_units += c.value;
+                ++unit_series;
+            } else if (c.name == prefix + "shards") {
+                series_shards += c.value;
+            } else if (c.name == prefix + "trials") {
+                series_trials += c.value;
+            }
+        }
+    }
+    EXPECT_EQ(unit_series, labels.size()); // one series per label
+    EXPECT_EQ(units, series_units);
+    EXPECT_EQ(shards, series_shards);
+    EXPECT_EQ(trials, series_trials);
+    EXPECT_EQ(series_units, counter("fleet.units_completed"));
+    EXPECT_EQ(series_shards, counter("fleet.shards_completed"));
+    EXPECT_EQ(series_trials, r.totalTrials());
+}
+
+/**
  * Fork a fleet agent process aimed at the local service. Must run
  * before service->run() (the process is still single-threaded; the
  * connect waits in the listener backlog). Sibling pipe fds accumulate
@@ -621,6 +680,18 @@ TEST(FleetService, GarbledUnitLineTriggersBackoffReconnect)
     EXPECT_FALSE(r.fleet.worker_records[1].lost);
     EXPECT_TRUE(r.errors.empty());
     expectCellsIdentical(reference, r);
+
+    // One row per connection, in accept order; both carry the agent's
+    // label, which the host series merge into one host.
+    for (std::size_t i = 0; i < 2; ++i) {
+        const obs::FleetWorkerRecord& record = r.fleet.worker_records[i];
+        EXPECT_EQ(record.worker, static_cast<int>(i));
+        EXPECT_EQ(record.label, "solo");
+        EXPECT_EQ(record.agent, "solo");
+        EXPECT_TRUE(record.remote);
+        EXPECT_EQ(record.exit_code, 0);
+    }
+    expectLedgerViewsAgree(r);
 }
 
 TEST(FleetService, UnitErrorForAnotherUnitRetiresTheHost)

@@ -74,9 +74,9 @@ TEST(Exposition, HostSeriesGroupIntoLabelledFamilies)
 {
     const std::string text = obs::renderPrometheusText({
         {"fleet.units_total", 8},
-        {"fleet.host.alpha.units", 5},
-        {"fleet.host.beta.units", 3},
-        {"fleet.host.alpha.trials", 1000},
+        {"fleet.host.units", 5, "alpha"},
+        {"fleet.host.units", 3, "beta"},
+        {"fleet.host.trials", 1000, "alpha"},
     });
     // Plain counter with TYPE header.
     EXPECT_NE(text.find("# TYPE gpuecc_fleet_units_total counter"),
@@ -103,6 +103,8 @@ TEST(Exposition, HostSeriesGroupIntoLabelledFamilies)
 
 TEST(Journal, WriterReaderRoundTrip)
 {
+    // Every byte the shared JSON escaper rewrites, plus one it passes.
+    const std::string kAwkward = "q\"b\\r\rn\nt\tc\x01 end";
     const std::string path = tempPath("obs_journal_roundtrip.ndjson");
     {
         auto journal = obs::EventJournal::open(path);
@@ -114,14 +116,15 @@ TEST(Journal, WriterReaderRoundTrip)
         j.append("result", {{"host", "alpha"}},
                  {{"unit", 0}, {"shards", 4}, {"trials", 100}});
         j.append("drain", {}, {{"settled", 4}, {"interrupted", 0}});
-        EXPECT_EQ(j.eventsWritten(), 5u);
+        j.append("unit_error", {{"error", kAwkward}}, {{"unit", 1}});
+        EXPECT_EQ(j.eventsWritten(), 6u);
     }
 
     auto text = sim::loadTextFile(path);
     ASSERT_TRUE(text.ok()) << text.status().toString();
     auto events = sim::fleet::parseJournal(text.value());
     ASSERT_TRUE(events.ok()) << events.status().toString();
-    ASSERT_EQ(events.value().size(), 5u);
+    ASSERT_EQ(events.value().size(), 6u);
     const auto& e = events.value();
     EXPECT_EQ(e[0].seq, 1u);
     EXPECT_EQ(e[0].event, "start");
@@ -130,6 +133,7 @@ TEST(Journal, WriterReaderRoundTrip)
     EXPECT_EQ(e[1].num("remote"), 1u);
     EXPECT_EQ(e[3].num("trials"), 100u);
     EXPECT_EQ(e[4].seq, 5u);
+    EXPECT_EQ(e[5].str("error"), kAwkward);
     // Timestamps are relative to journal open and monotonic.
     for (std::size_t i = 1; i < e.size(); ++i)
         EXPECT_GE(e[i].ts_us, e[i - 1].ts_us);
@@ -364,7 +368,7 @@ TEST(ObsPlane, DuplicateResultsDoNotDoubleCountHostMetrics)
     EXPECT_EQ(status.hosts[0].units, 1u); // credited exactly once
 
     dispatch.finishInProcess();
-    const sim::CampaignResult r = dispatch.finalize({});
+    const sim::CampaignResult r = dispatch.finalize();
     EXPECT_EQ(r.fleet.duplicate_results, 1u);
     // The shipped counter delta surfaces once under the host label.
     std::uint64_t alpha_trials_metric = 0;
@@ -389,6 +393,51 @@ TEST(ObsPlane, DuplicateResultsDoNotDoubleCountHostMetrics)
     EXPECT_EQ(summary.duplicates, 1u);
     EXPECT_GE(summary.unitsSettled(), 1u);
     std::remove(journal_path.c_str());
+}
+
+TEST(ObsPlane, DottedHostLabelKeepsItsMetricsFamily)
+{
+    // Host labels are free-form — an agent's --name is often a
+    // hostname — so /metrics must carry a dotted label whole, under
+    // the host family, never split it into a family of its own.
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 1;
+    auto created = sim::fleet::FleetDispatch::create(spec);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    sim::fleet::FleetDispatch& dispatch = *created.value();
+    dispatch.start();
+    dispatch.registerHost(0, "node1.example", true);
+
+    std::uint64_t u = 0;
+    ASSERT_TRUE(dispatch.waitClaim(u, {}));
+    sim::fleet::WorkerMessage result;
+    result.kind = sim::fleet::WorkerMessage::Kind::result;
+    result.worker = 0;
+    result.unit = u;
+    const auto now = sim::fleet::FleetDispatch::Clock::now();
+    ASSERT_TRUE(dispatch.completeUnit(result, now, now));
+
+    const std::string text =
+        sim::fleet::statusMetricsText(dispatch.status());
+    EXPECT_NE(
+        text.find("\ngpuecc_fleet_host_units{host=\"node1.example\"} 1\n"),
+        std::string::npos)
+        << text;
+    // The only *_units family under gpuecc_fleet_host_ is the host one.
+    std::size_t at = 0;
+    while ((at = text.find("# TYPE gpuecc_fleet_host_", at)) !=
+           std::string::npos) {
+        const std::size_t end = text.find(' ', at + 7);
+        const std::string family = text.substr(at + 7, end - at - 7);
+        if (family.size() >= 6 &&
+            family.compare(family.size() - 6, 6, "_units") == 0) {
+            EXPECT_EQ(family, "gpuecc_fleet_host_units");
+        }
+        at = end;
+    }
+
+    dispatch.finishInProcess();
+    dispatch.finalize();
 }
 
 #if defined(__unix__) || defined(__APPLE__)

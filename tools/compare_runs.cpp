@@ -175,11 +175,11 @@ lookupFlat(
 }
 
 /**
- * Flatten a manifest, excluding the "hosts" array: per-host unit
- * splits are scheduling, not provenance — two correct fleet runs of
- * the same spec legitimately divide the units differently, so diffing
- * them scalar-by-scalar would cry wolf on every rerun. The section
- * gets its own tolerant comparison below.
+ * Flatten a manifest, excluding the "hosts" array older reports kept
+ * there: per-host unit splits are scheduling, not provenance — two
+ * correct fleet runs of the same spec legitimately divide the units
+ * differently, so diffing them scalar-by-scalar would cry wolf on
+ * every rerun. Host rows get their own tolerant comparison below.
  */
 void
 flattenManifest(const sim::JsonValue& manifest,
@@ -196,7 +196,26 @@ flattenManifest(const sim::JsonValue& manifest,
     }
 }
 
-/** Sum one numeric field over a manifest "hosts" array. */
+/**
+ * A report's per-host rows: timing.fleet.worker_records, or the
+ * manifest "hosts" array older reports carried instead. Null for an
+ * in-process run.
+ */
+const sim::JsonValue*
+hostRows(const sim::JsonValue& report)
+{
+    const sim::JsonValue* timing = report.find("timing");
+    const sim::JsonValue* fleet =
+        timing != nullptr ? timing->find("fleet") : nullptr;
+    if (fleet != nullptr) {
+        if (const sim::JsonValue* rows = fleet->find("worker_records"))
+            return rows;
+    }
+    const sim::JsonValue* manifest = report.find("manifest");
+    return manifest != nullptr ? manifest->find("hosts") : nullptr;
+}
+
+/** Sum one numeric field over a host-rows array. */
 double
 sumHostField(const sim::JsonValue& hosts, const char* field)
 {
@@ -209,34 +228,29 @@ sumHostField(const sim::JsonValue& hosts, const char* field)
 }
 
 /**
- * Compare the manifest "hosts" sections with older-baseline
- * tolerance: a baseline that predates the section (or an in-process
- * run, which omits it) compares clean. When both sides carry it, the
- * per-host split is scheduling noise, so only the fleet-wide sums —
- * host count, units, shards, trials — are diffed, informationally.
+ * Compare the two reports' host rows with older-baseline tolerance: a
+ * baseline without them (or an in-process run) compares clean. When
+ * both sides carry them, the per-host split is scheduling noise, so
+ * only the fleet-wide sums — host count, units, shards, trials — are
+ * diffed, informationally.
  */
 void
-compareHostsSections(const sim::JsonValue* base_manifest,
-                     const sim::JsonValue* cand_manifest)
+compareHostRows(const sim::JsonValue& base, const sim::JsonValue& cand)
 {
-    const sim::JsonValue* base_hosts =
-        base_manifest != nullptr ? base_manifest->find("hosts")
-                                 : nullptr;
-    const sim::JsonValue* cand_hosts =
-        cand_manifest != nullptr ? cand_manifest->find("hosts")
-                                 : nullptr;
+    const sim::JsonValue* base_hosts = hostRows(base);
+    const sim::JsonValue* cand_hosts = hostRows(cand);
     if (cand_hosts == nullptr && base_hosts == nullptr)
         return; // neither run was a fleet campaign
     if (cand_hosts == nullptr) {
-        std::printf("manifest hosts: baseline has %zu host(s), "
+        std::printf("fleet hosts: baseline has %zu host(s), "
                     "candidate ran in-process (informational)\n",
                     base_hosts->elements().size());
         return;
     }
     if (base_hosts == nullptr) {
-        std::printf("manifest hosts: candidate has %zu host(s); "
-                    "baseline predates the section or ran "
-                    "in-process (skipped)\n",
+        std::printf("fleet hosts: candidate has %zu host(s); "
+                    "baseline predates host rows or ran in-process "
+                    "(skipped)\n",
                     cand_hosts->elements().size());
         return;
     }
@@ -249,19 +263,18 @@ compareHostsSections(const sim::JsonValue* base_manifest,
             differs = true;
     }
     if (!differs) {
-        std::printf("manifest hosts: %zu host(s), fleet-wide sums "
-                    "match\n",
+        std::printf("fleet hosts: %zu host(s), fleet-wide sums match\n",
                     cand_hosts->elements().size());
         return;
     }
-    std::printf("manifest hosts: %zu -> %zu host(s)\n",
+    std::printf("fleet hosts: %zu -> %zu host(s)\n",
                 base_hosts->elements().size(),
                 cand_hosts->elements().size());
     for (const char* field : sums) {
         const double b = sumHostField(*base_hosts, field);
         const double c = sumHostField(*cand_hosts, field);
         if (b != c) {
-            std::printf("manifest hosts.%-22s %.0f -> %.0f "
+            std::printf("fleet hosts.%-25s %.0f -> %.0f "
                         "(fleet-wide sum)\n",
                         field, b, c);
         }
@@ -441,8 +454,8 @@ main(int argc, char** argv)
         }
         if (!any_diff)
             std::printf("manifests match\n");
-        compareHostsSections(base_manifest_doc, cand_manifest_doc);
     }
+    compareHostRows(base, cand);
 
     std::vector<Metric> base_metrics;
     std::vector<Metric> cand_metrics;
