@@ -29,8 +29,23 @@ class Rng
     /** Construct from a 64-bit seed (expanded via SplitMix64). */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next64();
+    /**
+     * Next raw 64-bit value. Inline: the samplers draw one value per
+     * bit of a corrupted region, so the call itself is on the hot path.
+     */
+    std::uint64_t
+    next64()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using Lemire's method; bound > 0. */
     std::uint64_t nextBounded(std::uint64_t bound);
@@ -93,6 +108,12 @@ class Rng
                            std::size_t count, Rng* out);
 
   private:
+    static constexpr std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     double cached_gaussian_ = 0.0;
     bool has_cached_gaussian_ = false;

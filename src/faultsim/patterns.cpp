@@ -1,5 +1,7 @@
 #include "faultsim/patterns.hpp"
 
+#include <algorithm>
+
 #include "common/bitops.hpp"
 #include "common/log.hpp"
 #include "interleave/swizzle.hpp"
@@ -44,6 +46,26 @@ patternInfo(ErrorPattern p)
     panic("patternInfo: unknown pattern");
 }
 
+namespace {
+
+/** One all-ones mask per beat. */
+constexpr std::array<Bits288, layout::num_beats> kBeatMasks = [] {
+    std::array<Bits288, layout::num_beats> masks{};
+    for (int phys = 0; phys < layout::entry_bits; ++phys)
+        masks[layout::beatOf(phys)].set(phys, 1);
+    return masks;
+}();
+
+/** Whether every set bit of a nonempty mask lies in one beat. */
+bool
+withinOneBeat(const Bits288& mask)
+{
+    const Bits288& beat = kBeatMasks[layout::beatOf(mask.lowestSetBit())];
+    return (mask & beat) == mask;
+}
+
+} // namespace
+
 ErrorPattern
 classifyErrorMask(const Bits288& mask)
 {
@@ -51,6 +73,13 @@ classifyErrorMask(const Bits288& mask)
     require(bits > 0, "classifyErrorMask: empty mask");
     if (bits == 1)
         return ErrorPattern::oneBit;
+    // A pin holds 4 bits and a byte 8, so a wider mask is neither,
+    // nor 2 or 3 bits: beat occupancy alone decides it. Sampled beat
+    // and entry masks (~36 and ~144 bits) take this path.
+    if (bits > 8) {
+        return withinOneBeat(mask) ? ErrorPattern::oneBeat
+                                   : ErrorPattern::wholeEntry;
+    }
 
     bool same_pin = true;
     bool same_byte = true;
@@ -85,16 +114,47 @@ classifyErrorMask(const Bits288& mask)
 
 namespace {
 
+/**
+ * @p n <= 64 fair coin flips packed LSB-first from @p n draws. Bit i
+ * is set exactly when the top bit of draw i is clear, which is
+ * exactly when rng.nextBool(0.5) would have been true — so packing
+ * consumes the stream, and yields the masks, of a bit-by-bit loop.
+ */
+std::uint64_t
+drawBits(int n, Rng& rng)
+{
+    std::uint64_t bits = 0;
+    for (int i = 0; i < n; ++i)
+        bits |= (~rng.next64() >> 63) << i;
+    return bits;
+}
+
+/** Pin @p pin's bits in the beats set in @p beats (bit b = beat b). */
+Bits288
+pinMask(int pin, std::uint64_t beats)
+{
+    Bits288 mask;
+    for (int beat = 0; beat < layout::num_beats; ++beat) {
+        if ((beats >> beat) & 1)
+            mask.set(layout::physicalIndex(beat, pin), 1);
+    }
+    return mask;
+}
+
 /** Random corruption of a contiguous region, conditioned on shape. */
 Bits288
 sampleRegion(ErrorPattern target, int region_lo, int region_bits,
              Rng& rng)
 {
     for (;;) {
+        // Fill the region word by word, in draw order.
         Bits288 mask;
-        for (int i = 0; i < region_bits; ++i) {
-            if (rng.nextBool(0.5))
-                mask.set(region_lo + i, 1);
+        for (int pos = region_lo, end = region_lo + region_bits;
+             pos < end;) {
+            const int shift = pos & 63;
+            const int len = std::min(64 - shift, end - pos);
+            mask.setWord(pos >> 6, drawBits(len, rng) << shift);
+            pos += len;
         }
         if (!mask.none() && classifyErrorMask(mask) == target)
             return mask;
@@ -107,13 +167,9 @@ samplePin(Rng& rng)
 {
     const int pin = static_cast<int>(rng.nextBounded(layout::num_pins));
     for (;;) {
-        Bits288 mask;
-        for (int beat = 0; beat < layout::num_beats; ++beat) {
-            if (rng.nextBool(0.5))
-                mask.set(layout::physicalIndex(beat, pin), 1);
-        }
-        if (mask.popcount() >= 2)
-            return mask;
+        const std::uint64_t beats = drawBits(layout::num_beats, rng);
+        if (popcount64(beats) >= 2)
+            return pinMask(pin, beats);
     }
 }
 
@@ -213,12 +269,7 @@ forEachErrorMaskInRange(ErrorPattern p, std::uint64_t begin,
             for (unsigned m = 1; m < 16; ++m) {
                 if (popcount64(m) < 2)
                     continue;
-                Bits288 mask;
-                for (int beat = 0; beat < layout::num_beats; ++beat) {
-                    if ((m >> beat) & 1)
-                        mask.set(layout::physicalIndex(beat, pin), 1);
-                }
-                fn(mask);
+                fn(pinMask(pin, m));
                 ++count;
             }
         }

@@ -69,7 +69,10 @@ ErrorPattern classifyErrorMask(const Bits288& mask);
  * the classification constraints; pin/byte/beat/entry patterns flip
  * each bit of their region i.i.d. with p = 1/2 and redraw until the
  * mask classifies as the requested shape (the uniform random
- * corruption model the paper adopts for evaluation).
+ * corruption model the paper adopts for evaluation). Region bits
+ * take one draw each, in bit order, set when the draw's top bit is
+ * clear: the stream every sampled tally is drawn from, pinned by
+ * tests/test_patterns.cpp.
  */
 Bits288 sampleErrorMask(ErrorPattern p, Rng& rng);
 

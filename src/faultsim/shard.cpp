@@ -123,34 +123,41 @@ evaluateShard(const EntryScheme& scheme, const GoldenEntry& golden,
     return counts;
 }
 
-OutcomeCounts
-evaluateShardBatched(const EntryScheme& scheme,
-                     const GoldenEntry& golden, std::uint64_t seed,
+void
+evaluateShardBatched(std::span<SchemeTally> schemes, std::uint64_t seed,
                      const Shard& shard, ShardBatchArena& arena)
 {
-    OutcomeCounts counts;
+    const bool exhaustive = patternIsEnumerable(shard.pattern);
+    for (SchemeTally& t : schemes) {
+        t.counts = OutcomeCounts{};
+        t.counts.exhaustive = exhaustive;
+    }
     std::size_t filled = 0;
 
-    // Drain the staged masks through the remaining pipeline stages:
-    // inject (word-wise XOR into the golden entry), one batch decode,
-    // then the tally sweep. Masks are tallied in draw order, but the
-    // counts are order-free anyway.
+    // Drain the staged masks through the remaining pipeline stages,
+    // once per scheme: inject (word-wise XOR into the golden entry),
+    // one batch decode, then the tally sweep. Masks are tallied in
+    // draw order, but the counts are order-free anyway.
     auto flush = [&] {
         if (filled == 0)
             return;
-        for (std::size_t i = 0; i < filled; ++i)
-            arena.received[i] = golden.entry ^ arena.masks[i];
-        scheme.decodeBatch(arena.received.data(),
-                           arena.decodes.data(), filled);
-        for (std::size_t i = 0; i < filled; ++i) {
-            const EntryDecode& result = arena.decodes[i];
-            ++counts.trials;
-            if (result.status == EntryDecode::Status::due) {
-                ++counts.due;
-            } else if (result.data == golden.data) {
-                ++counts.dce;
-            } else {
-                ++counts.sdc;
+        for (SchemeTally& t : schemes) {
+            const GoldenEntry& golden = *t.golden;
+            for (std::size_t i = 0; i < filled; ++i)
+                arena.received[i] = golden.entry ^ arena.masks[i];
+            t.scheme->decodeBatch(arena.received.data(),
+                                  arena.decodes.data(), filled);
+            OutcomeCounts& counts = t.counts;
+            for (std::size_t i = 0; i < filled; ++i) {
+                const EntryDecode& result = arena.decodes[i];
+                ++counts.trials;
+                if (result.status == EntryDecode::Status::due) {
+                    ++counts.due;
+                } else if (result.data == golden.data) {
+                    ++counts.dce;
+                } else {
+                    ++counts.sdc;
+                }
             }
         }
         filled = 0;
@@ -161,8 +168,7 @@ evaluateShardBatched(const EntryScheme& scheme,
             flush();
     };
 
-    if (patternIsEnumerable(shard.pattern)) {
-        counts.exhaustive = true;
+    if (exhaustive) {
         forEachErrorMaskInRange(shard.pattern, shard.begin, shard.end,
                                 stage);
     } else {
@@ -193,7 +199,16 @@ evaluateShardBatched(const EntryScheme& scheme,
         }
     }
     flush();
-    return counts;
+}
+
+OutcomeCounts
+evaluateShardBatched(const EntryScheme& scheme,
+                     const GoldenEntry& golden, std::uint64_t seed,
+                     const Shard& shard, ShardBatchArena& arena)
+{
+    SchemeTally tally{&scheme, &golden, {}};
+    evaluateShardBatched({&tally, 1}, seed, shard, arena);
+    return tally.counts;
 }
 
 } // namespace gpuecc

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -119,8 +120,8 @@ constexpr std::size_t kShardBatchEntries = 256;
  * stay resident in its private cache, and the cache-line alignment
  * keeps neighbouring workers' arenas off each other's lines when they
  * live in a WorkerArena slot. The arena carries no results — tallies
- * come back through evaluateShardBatched's return value — so reuse
- * needs no reset.
+ * come back through evaluateShardBatched's SchemeTally entries — so
+ * reuse needs no reset.
  */
 struct ShardBatchArena
 {
@@ -138,16 +139,35 @@ struct ShardBatchArena
 };
 
 /**
- * Batched evaluation of one shard: identical tallies to
- * evaluateShard (which remains the differential oracle — see
- * tests/test_shard_batch.cpp), restructured as a
- * structure-of-arrays pipeline. Masks are materialized in draw order
- * (so the RNG consumption matches the scalar path bit-for-bit),
- * injected into the golden entry word-wise, and decoded through one
- * decodeBatch call per batch — one virtual dispatch per
- * kShardBatchEntries entries instead of one per sample, with block
- * generators derived in bulk via Rng::forStreams.
+ * One scheme decoding a shared shard: its codec and golden entry, and
+ * the tallies the batch kernel fills in.
  */
+struct SchemeTally
+{
+    const EntryScheme* scheme = nullptr;
+    const GoldenEntry* golden = nullptr;
+    OutcomeCounts counts;
+};
+
+/**
+ * The batch kernel: evaluate one shard for every scheme in
+ * @p schemes, with tallies identical to evaluateShard (which remains
+ * the differential oracle — see tests/test_shard_batch.cpp),
+ * restructured as a structure-of-arrays pipeline. Each batch of
+ * kShardBatchEntries masks is materialized once, in draw order (so
+ * the RNG consumption matches the scalar path bit-for-bit), then per
+ * scheme injected into its golden entry word-wise and decoded through
+ * one decodeBatch call — one virtual dispatch per batch instead of
+ * one per sample. The masks do not depend on the scheme, so drawing
+ * them once serves every scheme and each one's counts come back as
+ * its own one-scheme call would tally them. Block generators are
+ * derived in bulk via Rng::forStreams.
+ */
+void evaluateShardBatched(std::span<SchemeTally> schemes,
+                          std::uint64_t seed, const Shard& shard,
+                          ShardBatchArena& arena);
+
+/** The batch kernel for one scheme. */
 OutcomeCounts evaluateShardBatched(const EntryScheme& scheme,
                                    const GoldenEntry& golden,
                                    std::uint64_t seed,

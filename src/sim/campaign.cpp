@@ -149,39 +149,57 @@ CampaignRunner::tryRun() const
     };
     WorkerArena<WorkerState>* worker_states = nullptr;
 
-    auto body = [&](std::uint64_t i) {
-        if (core.restored(i) || interruptRequested())
+    // The pool runs shard groups: task j of every scheme covers the
+    // same shard, so group j draws its masks once for all of them.
+    const std::uint64_t groups = plan.groupCount();
+    auto body = [&](std::uint64_t j) {
+        if (interruptRequested())
             return;
-        const PlanTask& t = plan.tasks[i];
-        if (core.cellFailed(t.cell)) {
-            core.skip(t.cell, 1);
-            return;
+        std::vector<std::uint64_t> group;
+        for (std::uint64_t i = j; i < plan.tasks.size(); i += groups) {
+            if (core.restored(i))
+                continue;
+            const std::size_t cell = plan.tasks[i].cell;
+            if (core.cellFailed(cell)) {
+                core.skip(cell, 1);
+                continue;
+            }
+            group.push_back(i);
         }
+        if (group.empty())
+            return;
 
-        obs::TraceSpan span(patternInfo(t.shard.pattern).label,
-                            "shard");
-        span.arg("scheme", plan.ids[plan.schemeOf(i)])
-            .arg("task", i)
-            .arg("begin", t.shard.begin)
-            .arg("end", t.shard.end);
+        const Shard& shard = plan.tasks[j].shard;
+        obs::TraceSpan span(patternInfo(shard.pattern).label, "shard");
+        span.arg("group", j)
+            .arg("schemes", group.size())
+            .arg("begin", shard.begin)
+            .arg("end", shard.end);
 
         const auto shard_start = std::chrono::steady_clock::now();
         WorkerState& ws = worker_states->local();
-        Result<OutcomeCounts> counts = plan.evaluateTask(i, ws.batch);
-        if (!counts.ok()) {
-            core.fail(t.cell, 1, counts.status().message());
-            return;
-        }
+        std::vector<Result<OutcomeCounts>> counts =
+            plan.evaluateGroup(group, ws.batch);
         const auto shard_stop = std::chrono::steady_clock::now();
-        // Tallies land in the worker's own aligned accumulator.
-        ws.cells[t.cell].merge(counts.value());
-
-        // Telemetry: thread-local metric shards only.
-        const std::uint64_t shard_us =
-            microsBetween(shard_start, shard_stop);
-        reg.observe(shard_micros, shard_us);
-        core.complete({{i, counts.value()}}, shard_us, shard_start,
-                      shard_stop);
+        // Each task is charged an equal share of the group's time:
+        // one shard_micros observation per task, and the per-scheme
+        // busy seconds split the same way.
+        const std::uint64_t task_us =
+            microsBetween(shard_start, shard_stop) / group.size();
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            const std::uint64_t i = group[k];
+            const std::size_t cell = plan.tasks[i].cell;
+            if (!counts[k].ok()) {
+                core.fail(cell, 1, counts[k].status().message());
+                continue;
+            }
+            // Tallies land in the worker's own aligned accumulator.
+            ws.cells[cell].merge(counts[k].value());
+            // Telemetry: thread-local metric shards only.
+            reg.observe(shard_micros, task_us);
+            core.complete({{i, counts[k].value()}}, task_us,
+                          shard_start, shard_stop);
+        }
     };
 
     CampaignResult& result = core.result();
@@ -193,7 +211,7 @@ CampaignRunner::tryRun() const
         for (int w = 0; w < states.size(); ++w)
             states.at(w).cells.resize(result.cells.size());
         worker_states = &states;
-        pool.parallelFor(plan.tasks.size(), body);
+        pool.parallelFor(groups, body);
         ThreadPool::Stats pool_stats = pool.stats();
         result.pool.threads = threads;
         result.pool.tasks_executed = pool_stats.tasks_executed;

@@ -119,32 +119,76 @@ CampaignPlan::checkTally(std::uint64_t task,
     return {};
 }
 
+std::vector<Result<OutcomeCounts>>
+CampaignPlan::evaluateGroup(std::span<const std::uint64_t> group,
+                            ShardBatchArena& arena) const
+{
+    const std::uint64_t j = group.front() % groupCount();
+    const Shard& shard = tasks[j].shard;
+    // First attempt: each task's chaos hook, then one kernel call for
+    // every task whose hook passed.
+    std::vector<Result<OutcomeCounts>> out;
+    std::vector<SchemeTally> tallies;
+    out.reserve(group.size());
+    tallies.reserve(group.size());
+    for (const std::uint64_t task : group) {
+        require(task % groupCount() == j,
+                "evaluateGroup: tasks of different shard groups");
+        try {
+            chaosOnTaskAttempt(task);
+            const std::size_t s = schemeOf(task);
+            tallies.push_back({schemes[s].get(), &goldens[s], {}});
+            out.push_back(OutcomeCounts{});
+        } catch (const std::exception& e) {
+            out.push_back(Status::internalError(e.what()));
+        }
+    }
+    try {
+        if (!tallies.empty())
+            evaluateShardBatched(tallies, seed, shard, arena);
+        std::size_t next = 0;
+        for (Result<OutcomeCounts>& r : out) {
+            if (r.ok())
+                r = tallies[next++].counts;
+        }
+    } catch (const std::exception& e) {
+        // The culprit is unknown: every task of the call retries on
+        // its own.
+        for (Result<OutcomeCounts>& r : out) {
+            if (r.ok())
+                r = Status::internalError(e.what());
+        }
+    }
+
+    // Transient faults (chaos, OOM churn) get one retry; a second
+    // failure fails the task's cell, not the campaign.
+    for (std::size_t k = 0; k < group.size(); ++k) {
+        if (out[k].ok())
+            continue;
+        const std::uint64_t task = group[k];
+        obs::metrics().add(shardRetriesMetric());
+        warn("campaign: shard task " + std::to_string(task) +
+             " failed (" + out[k].status().message() +
+             "); retrying once");
+        try {
+            chaosOnTaskAttempt(task);
+            const std::size_t s = schemeOf(task);
+            out[k] = evaluateShardBatched(*schemes[s], goldens[s], seed,
+                                          shard, arena);
+        } catch (const std::exception& second) {
+            out[k] = Status::internalError(
+                "shard task " + std::to_string(task) +
+                " failed twice: " + second.what());
+        }
+    }
+    return out;
+}
+
 Result<OutcomeCounts>
 CampaignPlan::evaluateTask(std::uint64_t task,
                            ShardBatchArena& arena) const
 {
-    const std::size_t scheme = schemeOf(task);
-    const auto attempt = [&] {
-        chaosOnTaskAttempt(task);
-        return evaluateShardBatched(*schemes[scheme], goldens[scheme],
-                                    seed, tasks[task].shard, arena);
-    };
-    try {
-        return attempt();
-    } catch (const std::exception& first) {
-        // Transient faults (chaos, OOM churn) get one retry; a second
-        // failure fails the cell, not the campaign.
-        obs::metrics().add(shardRetriesMetric());
-        warn("campaign: shard task " + std::to_string(task) +
-             " failed (" + first.what() + "); retrying once");
-    }
-    try {
-        return attempt();
-    } catch (const std::exception& second) {
-        return Status::internalError("shard task " +
-                                     std::to_string(task) +
-                                     " failed twice: " + second.what());
-    }
+    return std::move(evaluateGroup({&task, 1}, arena).front());
 }
 
 /** Per-scheme clocks; µs since evaluation start. */

@@ -9,8 +9,10 @@
  *
  *  - CampaignPlan: the scheme-major task plan and its fingerprint,
  *    the one validator for a task's tallies (checkpoint resume and
- *    fleet results), and evaluateTask — chaos hook, evaluate, retry
- *    once, otherwise report the failure so the caller fails the cell.
+ *    fleet results), and evaluateGroup — per-task chaos hook, one
+ *    shared-mask evaluation of a shard group, retry a failed task
+ *    once on its own, otherwise report the failure so the caller
+ *    fails that task's cell.
  *  - CampaignCore: the result under construction, per-cell failure
  *    bookkeeping, per-scheme clocks and progress, the checkpoint
  *    ledger (restore, interval flush, final flush, warn-once) and the
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +61,8 @@ struct PlanTask
  * The deterministic task plan: every shard of every cell, scheme-major
  * and pattern-minor, sharing one pattern plan (and thus the same RNG
  * streams and masks) across schemes so scheme columns stay paired.
+ * Task j of every scheme covers the same shard: together they form
+ * shard group j, whose masks need drawing only once.
  */
 struct CampaignPlan
 {
@@ -105,11 +110,29 @@ struct CampaignPlan
                       const OutcomeCounts& counts) const;
 
     /**
-     * Evaluate plan task @p task: run the chaos hook, evaluate, and on
-     * an exception retry once (counted in campaign.shard_retries and
-     * warned about). A second failure comes back as an error; the
-     * caller fails the task's cell, never the campaign.
+     * Shard groups in the plan, i.e. tasks per scheme: task
+     * s * groupCount() + j is scheme s's member of group j.
      */
+    std::uint64_t groupCount() const
+    {
+        return tasks.size() / schemes.size();
+    }
+
+    /**
+     * Evaluate @p group, tasks of one shard group, drawing each mask
+     * once for all of them: every task runs its chaos hook, then the
+     * tasks whose hook passed share one kernel call. A task whose
+     * hook threw, or every task of a kernel call that threw, is
+     * retried once on its own (counted in campaign.shard_retries and
+     * warned about). A second failure comes back as that task's
+     * error; the caller fails its cell, never the campaign. Element k
+     * of the result belongs to group[k].
+     */
+    std::vector<Result<OutcomeCounts>>
+    evaluateGroup(std::span<const std::uint64_t> group,
+                  ShardBatchArena& arena) const;
+
+    /** evaluateGroup of the one task @p task. */
     Result<OutcomeCounts> evaluateTask(std::uint64_t task,
                                        ShardBatchArena& arena) const;
 };

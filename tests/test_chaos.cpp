@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "common/interrupt.hpp"
 #include "common/status.hpp"
+#include "faultsim/shard.hpp"
 #include "sim/campaign.hpp"
 #include "sim/chaos.hpp"
 
@@ -115,32 +117,59 @@ TEST_F(ChaosTest, TransientTaskFaultIsRetriedInvisibly)
     EXPECT_TRUE(r.errors.empty());
     EXPECT_FALSE(r.interrupted);
     expectSameCells(base, r);
+    // Only the faulted task retried, not the rest of its shard group.
+    const obs::CounterValue* retries =
+        r.metrics.findCounter("campaign.shard_retries");
+    ASSERT_NE(retries, nullptr);
+    EXPECT_EQ(retries->value, 1u);
 }
 
 TEST_F(ChaosTest, PersistentTaskFaultDropsOnlyThatScheme)
 {
     const sim::CampaignSpec spec = smallSpec();
-
-    sim::ChaosSpec chaos;
-    chaos.task_fault = 0; // first task belongs to the first scheme
-    chaos.task_fault_count = 2; // the retry fails too
-    sim::setChaosSpec(chaos);
-    const sim::CampaignResult r = sim::CampaignRunner(spec).run();
-
-    EXPECT_FALSE(r.hasScheme("duet"));
-    EXPECT_TRUE(r.hasScheme("trio"));
-    ASSERT_EQ(r.errors.size(), 1u);
-    EXPECT_EQ(r.errors[0].scheme_id, "duet");
-    EXPECT_NE(r.errors[0].message.find("unavailable"),
-              std::string::npos);
-
-    // The surviving scheme's tallies are untouched by the turbulence.
-    sim::clearChaosSpec();
     const sim::CampaignResult base = sim::CampaignRunner(spec).run();
-    for (ErrorPattern p : spec.patterns) {
-        EXPECT_EQ(r.counts("trio", p).sdc, base.counts("trio", p).sdc);
-        EXPECT_EQ(r.counts("trio", p).trials,
-                  base.counts("trio", p).trials);
+
+    // Task j of every scheme forms shard group j, evaluated together:
+    // fault the group's first member (duet) and then its second
+    // (trio, one scheme's worth of tasks further on).
+    const std::uint64_t per_scheme =
+        planShards(ErrorPattern::oneBit, spec.samples, spec.chunk)
+            .size() +
+        planShards(ErrorPattern::oneBeat, spec.samples, spec.chunk)
+            .size();
+    ASSERT_EQ(per_scheme, 56u);
+    const struct
+    {
+        std::int64_t task;
+        const char* dropped;
+        const char* kept;
+    } cases[] = {{0, "duet", "trio"},
+                 {static_cast<std::int64_t>(per_scheme), "trio",
+                  "duet"}};
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.dropped);
+        sim::ChaosSpec chaos;
+        chaos.task_fault = c.task;
+        chaos.task_fault_count = 2; // the retry fails too
+        sim::setChaosSpec(chaos);
+        const sim::CampaignResult r = sim::CampaignRunner(spec).run();
+        sim::clearChaosSpec();
+
+        EXPECT_FALSE(r.hasScheme(c.dropped));
+        EXPECT_TRUE(r.hasScheme(c.kept));
+        ASSERT_EQ(r.errors.size(), 1u);
+        EXPECT_EQ(r.errors[0].scheme_id, c.dropped);
+        EXPECT_NE(r.errors[0].message.find("unavailable"),
+                  std::string::npos);
+
+        // The surviving scheme's tallies are untouched by the
+        // turbulence.
+        for (ErrorPattern p : spec.patterns) {
+            EXPECT_EQ(r.counts(c.kept, p).sdc,
+                      base.counts(c.kept, p).sdc);
+            EXPECT_EQ(r.counts(c.kept, p).trials,
+                      base.counts(c.kept, p).trials);
+        }
     }
 }
 

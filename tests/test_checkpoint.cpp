@@ -335,6 +335,39 @@ TEST_F(ResumeTest, KilledThenResumedRunIsBitIdentical)
         EXPECT_EQ(sim::campaignCsv(resumed), sim::campaignCsv(base));
         std::remove(path.c_str());
     }
+
+    // Partly restored shard groups: a fleet run dispatches its units
+    // scheme by scheme, so its checkpoint holds the first scheme's
+    // tasks ahead of the other's. Resumed in-process, each group
+    // evaluates only its missing members.
+    const std::string path = tempPath("gpuecc_ck_resume_fleet.json");
+    std::remove(path.c_str());
+    sim::CampaignSpec spec;
+    spec.scheme_ids = {"duet", "trio"};
+    spec.samples = 30000;
+    spec.chunk = 1024; // one block: both drivers plan the same chunk
+    spec.threads = 2;
+    const sim::CampaignResult base = sim::CampaignRunner(spec).run();
+
+    sim::ChaosSpec chaos;
+    chaos.kill_after = 4;
+    sim::setChaosSpec(chaos);
+    spec.fleet_workers = 2;
+    spec.checkpoint_path = path;
+    spec.checkpoint_interval_s = 0;
+    const sim::CampaignResult killed = sim::CampaignRunner(spec).run();
+    ASSERT_TRUE(killed.interrupted);
+
+    sim::clearChaosSpec();
+    clearInterrupt();
+    spec.fleet_workers = 0;
+    spec.resume = true;
+    const sim::CampaignResult resumed = sim::CampaignRunner(spec).run();
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_GT(resumed.resumed_shards, 0u);
+    EXPECT_LT(resumed.resumed_shards, resumed.shards);
+    EXPECT_EQ(sim::campaignCsv(resumed), sim::campaignCsv(base));
+    std::remove(path.c_str());
 }
 
 TEST_F(ResumeTest, ResumeOfCompleteCheckpointRecomputesNothing)

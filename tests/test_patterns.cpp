@@ -1,5 +1,6 @@
 /** @file Tests for the Table 1 error-pattern model. */
 
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,105 @@
 
 namespace gpuecc {
 namespace {
+
+/**
+ * The bit-at-a-time sampler and set-bit-walking classifier the
+ * word-wide ones replaced: the reference that pins the sampled
+ * stream. The same Table 1 rules, written out one bit at a time.
+ */
+namespace reference {
+
+ErrorPattern
+classify(const Bits288& mask)
+{
+    const int bits = mask.popcount();
+    if (bits == 1)
+        return ErrorPattern::oneBit;
+    bool same_pin = true;
+    bool same_byte = true;
+    bool same_beat = true;
+    int first = -1;
+    mask.forEachSetBit([&](int phys) {
+        if (first < 0) {
+            first = phys;
+            return;
+        }
+        if (layout::pinOf(phys) != layout::pinOf(first))
+            same_pin = false;
+        if (layout::byteOf(phys) != layout::byteOf(first))
+            same_byte = false;
+        if (layout::beatOf(phys) != layout::beatOf(first))
+            same_beat = false;
+    });
+    if (same_pin)
+        return ErrorPattern::onePin;
+    if (same_byte)
+        return ErrorPattern::oneByte;
+    if (bits == 2)
+        return ErrorPattern::twoBits;
+    if (bits == 3)
+        return ErrorPattern::threeBits;
+    return same_beat ? ErrorPattern::oneBeat : ErrorPattern::wholeEntry;
+}
+
+Bits288
+sampleRegion(ErrorPattern target, int region_lo, int region_bits,
+             Rng& rng)
+{
+    for (;;) {
+        Bits288 mask;
+        for (int i = 0; i < region_bits; ++i) {
+            if (rng.nextBool(0.5))
+                mask.set(region_lo + i, 1);
+        }
+        if (!mask.none() && classify(mask) == target)
+            return mask;
+    }
+}
+
+Bits288
+samplePin(Rng& rng)
+{
+    const int pin = static_cast<int>(rng.nextBounded(layout::num_pins));
+    for (;;) {
+        Bits288 mask;
+        for (int beat = 0; beat < layout::num_beats; ++beat) {
+            if (rng.nextBool(0.5))
+                mask.set(layout::physicalIndex(beat, pin), 1);
+        }
+        if (mask.popcount() >= 2)
+            return mask;
+    }
+}
+
+/** sampleErrorMask for the region-corruption patterns. */
+Bits288
+sample(ErrorPattern p, Rng& rng)
+{
+    switch (p) {
+      case ErrorPattern::onePin:
+        return samplePin(rng);
+      case ErrorPattern::oneByte: {
+        const int byte =
+            static_cast<int>(rng.nextBounded(layout::num_bytes));
+        return sampleRegion(p, 8 * byte, 8, rng);
+      }
+      case ErrorPattern::oneBeat: {
+        const int beat =
+            static_cast<int>(rng.nextBounded(layout::num_beats));
+        return sampleRegion(p, layout::beat_bits * beat,
+                            layout::beat_bits, rng);
+      }
+      case ErrorPattern::wholeEntry:
+        return sampleRegion(p, 0, layout::entry_bits, rng);
+      default:
+        ADD_FAILURE() << "no reference sampler for "
+                      << patternInfo(p).label;
+        return {};
+    }
+}
+
+} // namespace reference
 
 TEST(PatternTable, ProbabilitiesMatchTable1)
 {
@@ -75,6 +175,67 @@ TEST(Classifier, BeatAndEntry)
     Bits288 entry = beat;
     entry.set(200, 1); // beat 2
     EXPECT_EQ(classifyErrorMask(entry), ErrorPattern::wholeEntry);
+}
+
+TEST(Classifier, MatchesSetBitWalkAroundTheEightBitBoundary)
+{
+    // Masks of more than 8 bits are decided by beat occupancy alone;
+    // sparse masks on either side of that boundary must classify as
+    // the set-bit walk does.
+    Rng rng(0xC1A55);
+    const auto draw = [&](int n) {
+        return static_cast<int>(rng.nextBounded(n));
+    };
+    // k distinct random bits, each at phys = lo + pick().
+    const auto scatter = [&](int k, const auto& pick) {
+        Bits288 mask;
+        while (mask.popcount() < k)
+            mask.set(pick(), 1);
+        return mask;
+    };
+    const auto expectSame = [](const Bits288& mask) {
+        ASSERT_EQ(classifyErrorMask(mask), reference::classify(mask))
+            << mask.toString();
+    };
+    for (int trial = 0; trial < 20000; ++trial) {
+        const int byte = draw(layout::num_bytes);
+        const int beat = draw(layout::num_beats);
+        const int other = (beat + 1 + draw(layout::num_beats - 1)) %
+                          layout::num_beats;
+        const int pin = draw(layout::num_pins);
+        const auto inBeat = [&](int b) {
+            return [&, b] {
+                return layout::physicalIndex(b, draw(layout::beat_bits));
+            };
+        };
+
+        // 8 bits in one byte: the whole byte.
+        expectSame(scatter(8, [&] { return 8 * byte + draw(8); }));
+        // 8 and 9 bits in one beat.
+        expectSame(scatter(8, inBeat(beat)));
+        expectSame(scatter(9, inBeat(beat)));
+        // 9 bits across two beats: at least one in each.
+        Bits288 two = scatter(8, inBeat(beat));
+        two.set(inBeat(other)(), 1);
+        expectSame(two);
+        // 9 bits: a full byte plus one more bit of its beat.
+        Bits288 byte_plus = scatter(8, [&] { return 8 * byte + draw(8); });
+        const int byte_beat = layout::beatOf(8 * byte);
+        while (byte_plus.popcount() < 9)
+            byte_plus.set(inBeat(byte_beat)(), 1);
+        expectSame(byte_plus);
+        // 2-4-bit pins.
+        expectSame(scatter(2 + draw(3), [&] {
+            return layout::physicalIndex(draw(layout::num_beats), pin);
+        }));
+        // 2-12 bits anywhere in one or two beats.
+        const int k = 2 + draw(11);
+        expectSame(scatter(k, inBeat(beat)));
+        expectSame(scatter(k, [&] {
+            return layout::physicalIndex(draw(2) ? beat : other,
+                                         draw(layout::beat_bits));
+        }));
+    }
 }
 
 TEST(Enumeration, CountsMatchCombinatorics)
@@ -143,6 +304,63 @@ TEST(Sampler, ByteSeveritiesSpanRange)
                         .popcount());
     EXPECT_EQ(*seen.begin(), 2);
     EXPECT_EQ(*seen.rbegin(), 8);
+}
+
+TEST(SamplerStream, MatchesBitAtATimeReference)
+{
+    // Bit polarity, draw order and rejection all show here: a sampler
+    // that flips the polarity draws an equally uniform distribution
+    // and passes every statistical check.
+    for (ErrorPattern p :
+         {ErrorPattern::onePin, ErrorPattern::oneByte,
+          ErrorPattern::oneBeat, ErrorPattern::wholeEntry}) {
+        Rng rng(0x5EED + static_cast<std::uint64_t>(p));
+        Rng ref = rng;
+        for (int i = 0; i < 200000; ++i) {
+            const Bits288 mask = sampleErrorMask(p, rng);
+            ASSERT_EQ(mask, reference::sample(p, ref))
+                << patternInfo(p).label << " draw " << i;
+        }
+        // Same consumption: both generators end in the same state.
+        EXPECT_EQ(rng.next64(), ref.next64()) << patternInfo(p).label;
+    }
+}
+
+TEST(SamplerStream, FrozenHashes)
+{
+    // FNV-1a 64 over the words of 10,000 masks per pattern, then the
+    // generator's next value — the stream every sampled tally is
+    // drawn from.
+    struct Frozen
+    {
+        ErrorPattern pattern;
+        std::uint64_t hash;
+        std::uint64_t next;
+    };
+    const Frozen frozen[] = {
+        {ErrorPattern::oneBit, 0xca81121c76576157, 0x60a22c4dbddb417b},
+        {ErrorPattern::onePin, 0x4f661e22658c7872, 0x10280a84f9f07293},
+        {ErrorPattern::oneByte, 0xa1b92f2798ce4c5b, 0x8fac29a3a5631e36},
+        {ErrorPattern::twoBits, 0x5429efccdc836ef7, 0x0b5286d18b1e5c33},
+        {ErrorPattern::threeBits, 0x9fd4dd8d436982d8,
+         0x158f0515e7dbbac0},
+        {ErrorPattern::oneBeat, 0x4daeac8d2946f984, 0x5c95a6f69bcbdc68},
+        {ErrorPattern::wholeEntry, 0x041056820944b019,
+         0xbb1fc70e650b8e2e},
+    };
+    for (const Frozen& f : frozen) {
+        Rng rng(0x5EED);
+        std::uint64_t hash = 0xcbf29ce484222325;
+        for (int i = 0; i < 10000; ++i) {
+            const Bits288 mask = sampleErrorMask(f.pattern, rng);
+            for (int w = 0; w < Bits288::numWords; ++w) {
+                hash ^= mask.word(w);
+                hash *= 0x100000001b3;
+            }
+        }
+        EXPECT_EQ(hash, f.hash) << patternInfo(f.pattern).label;
+        EXPECT_EQ(rng.next64(), f.next) << patternInfo(f.pattern).label;
+    }
 }
 
 } // namespace

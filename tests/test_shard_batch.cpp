@@ -3,7 +3,8 @@
  * Differential tests for the batched shard kernel.
  *
  * evaluateShard (per-sample scalar dispatch) is the oracle;
- * evaluateShardBatched must produce bit-identical tallies for every
+ * evaluateShardBatched, for one scheme or for every scheme sharing a
+ * shard's masks, must produce bit-identical tallies for every
  * scheme in the registry, every pattern class, every block-aligned
  * chunk size, every thread count, and both codec backends — the
  * equivalence the execution-core refactor's determinism guarantee
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/codec_mode.hpp"
@@ -54,22 +57,64 @@ runShards(const EntryScheme& scheme, const GoldenEntry& golden,
 
 TEST(ShardBatch, MatchesScalarForEverySchemeAndPattern)
 {
-    // Every registry scheme, every Table 1 pattern, both kernels.
-    // Sampled budget is kept modest (the enumerable patterns dominate
-    // the runtime anyway); equality must be exact, not statistical.
+    // Every registry scheme, every Table 1 pattern, three kernels: the
+    // scalar oracle, the one-scheme batch kernel, and the shared batch
+    // kernel decoding each shard for every scheme in one call. Sampled
+    // budget is kept modest (the enumerable patterns dominate the
+    // runtime anyway); equality must be exact, not statistical.
     const std::uint64_t samples = 4096;
+    std::vector<std::shared_ptr<EntryScheme>> schemes;
+    std::vector<GoldenEntry> goldens;
     for (const std::string& id : schemeIds()) {
-        const auto scheme = makeScheme(id);
-        const GoldenEntry golden = makeGolden(*scheme, kSeed);
-        for (ErrorPattern p : allErrorPatterns()) {
-            const OutcomeCounts scalar = runShards(
-                *scheme, golden, p, samples, kShardSamples, false);
-            const OutcomeCounts batched = runShards(
-                *scheme, golden, p, samples, kShardSamples, true);
-            EXPECT_TRUE(sameCounts(scalar, batched))
-                << "scheme=" << id
-                << " pattern=" << patternInfo(p).label;
+        schemes.push_back(makeScheme(id));
+        goldens.push_back(makeGolden(*schemes.back(), kSeed));
+    }
+    std::vector<SchemeTally> tallies;
+    for (std::size_t s = 0; s < schemes.size(); ++s)
+        tallies.push_back({schemes[s].get(), &goldens[s], {}});
+
+    ShardBatchArena arena;
+    for (ErrorPattern p : allErrorPatterns()) {
+        const std::vector<Shard> plan =
+            planShards(p, samples, kShardSamples);
+        for (CodecBackend backend :
+             {CodecBackend::compiled, CodecBackend::reference}) {
+            setCodecBackend(backend);
+            const bool reference = backend == CodecBackend::reference;
+            // The reference backend's matrix decode is ~4x slower:
+            // there each pattern runs its first and last shard (the
+            // largest and the smallest).
+            std::vector<Shard> shards = plan;
+            if (reference && shards.size() > 2)
+                shards = {shards.front(), shards.back()};
+
+            std::vector<OutcomeCounts> shared(schemes.size());
+            for (const Shard& shard : shards) {
+                evaluateShardBatched(tallies, kSeed, shard, arena);
+                for (std::size_t s = 0; s < schemes.size(); ++s)
+                    shared[s].merge(tallies[s].counts);
+            }
+            for (std::size_t s = 0; s < schemes.size(); ++s) {
+                OutcomeCounts scalar;
+                OutcomeCounts batched;
+                for (const Shard& shard : shards) {
+                    batched.merge(evaluateShardBatched(
+                        *schemes[s], goldens[s], kSeed, shard, arena));
+                    if (!reference)
+                        scalar.merge(evaluateShard(
+                            *schemes[s], goldens[s], kSeed, shard));
+                }
+                const std::string where =
+                    "scheme=" + schemeIds()[s] + " pattern=" +
+                    patternInfo(p).label +
+                    (reference ? " backend=reference" : "");
+                if (!reference) {
+                    EXPECT_TRUE(sameCounts(scalar, batched)) << where;
+                }
+                EXPECT_TRUE(sameCounts(batched, shared[s])) << where;
+            }
         }
+        setCodecBackend(CodecBackend::compiled);
     }
 }
 
