@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -115,6 +116,10 @@ Cli::tryGetDouble(const std::string& name) const
         return Status::invalidArgument("--" + name + ": '" + text +
                                        "' is not a number");
     }
+    if (!std::isfinite(v)) {
+        return Status::invalidArgument("--" + name + ": '" + text +
+                                       "' is not finite");
+    }
     return v;
 }
 
@@ -134,6 +139,22 @@ Cli::getDouble(const std::string& name) const
     if (!v.ok())
         fatal(v.status().message());
     return v.value();
+}
+
+double
+Cli::getDuration(const std::string& name, bool positive) const
+{
+    const double seconds = getDouble(name);
+    if (positive && seconds <= 0)
+        fatal("--" + name + " must be positive");
+    if (seconds < 0)
+        fatal("--" + name + " must be >= 0");
+    if (seconds > kMaxDurationSeconds) {
+        fatal("--" + name + " must be at most " +
+              std::to_string(static_cast<long>(kMaxDurationSeconds)) +
+              " seconds");
+    }
+    return seconds;
 }
 
 bool

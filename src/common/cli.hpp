@@ -26,6 +26,13 @@ namespace gpuecc {
 /** Exit code of a command-line usage error (BSD EX_USAGE). */
 constexpr int kUsageExitCode = 64;
 
+/**
+ * Largest value a duration flag accepts, in seconds. Durations become
+ * int milliseconds or clock durations downstream, and int
+ * milliseconds overflow past ~2.1e6 s.
+ */
+constexpr double kMaxDurationSeconds = 1e6;
+
 /** Parsed command line with typed accessors and defaults. */
 class Cli
 {
@@ -69,8 +76,18 @@ class Cli
      *  value isn't a (possibly hex) integer. */
     std::int64_t getInt(const std::string& name) const;
 
-    /** Value of a declared flag as a double; fatal if malformed. */
+    /**
+     * Value of a declared flag as a finite double; fatal if malformed,
+     * NaN or infinite.
+     */
     double getDouble(const std::string& name) const;
+
+    /**
+     * Value of a declared duration flag, in seconds: >= 0 (> 0 when
+     * @p positive) and at most kMaxDurationSeconds; fatal otherwise,
+     * naming the flag.
+     */
+    double getDuration(const std::string& name, bool positive) const;
 
     /** Value of a declared flag as a boolean ("1"/"true" are true). */
     bool getBool(const std::string& name) const;

@@ -162,7 +162,11 @@ struct CampaignSpec
      * campaign (fingerprint mismatch) is an error.
      */
     bool resume = false;
-    /** Minimum seconds between periodic flushes (<= 0: every task). */
+    /**
+     * Minimum seconds between periodic checkpoint writes (<= 0: write
+     * continuously). Each write covers every task completed since the
+     * previous one.
+     */
     double checkpoint_interval_s = 30.0;
 
     /**

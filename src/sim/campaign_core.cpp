@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <set>
+#include <utility>
 
 #include "common/codec_mode.hpp"
 #include "common/interrupt.hpp"
@@ -203,7 +204,12 @@ struct CampaignCore::SchemeClock
     std::atomic<std::uint64_t> pending{0};
 };
 
-CampaignCore::~CampaignCore() = default;
+CampaignCore::~CampaignCore()
+{
+    // A driver that threw between start() and finish() still joins
+    // the writer (a joinable std::thread would terminate).
+    stopWriter();
+}
 
 Result<std::unique_ptr<CampaignCore>>
 CampaignCore::create(const CampaignSpec& spec, Driver driver,
@@ -261,7 +267,7 @@ CampaignCore::create(const CampaignSpec& spec, Driver driver,
         // flush, exit" rather than dying mid-write.
         installInterruptHandlers();
         c.fingerprint_ = c.plan_.fingerprint();
-        c.partial_.resize(c.plan_.tasks.size());
+        c.ledger_.resize(c.plan_.tasks.size());
         const obs::BuildInfo build = obs::buildInfo();
         c.ckpt_manifest_.push_back({"threads", std::to_string(threads)});
         if (driver == Driver::fleet)
@@ -322,8 +328,7 @@ CampaignCore::restore(const CheckpointEntry& entry)
     ++result_.resumed_shards;
     std::lock_guard<std::mutex> lock(mutex_);
     if (checkpointing_)
-        partial_[entry.task] = entry.counts;
-    completed_.push_back(entry.task);
+        ledger_[entry.task] = entry.counts;
 }
 
 void
@@ -359,9 +364,8 @@ CampaignCore::start()
         obs::processCpuSeconds() + obs::processChildrenCpuSeconds();
     start_at_ = Clock::now();
     trace_eval_start_us_ = obs::traceNowUs();
-    // The first flush interval starts here, after any restore.
-    std::lock_guard<std::mutex> lock(mutex_);
-    last_flush_ = start_at_;
+    if (checkpointing_)
+        writer_ = std::thread([this] { writeCheckpoints(); });
 }
 
 void
@@ -398,31 +402,19 @@ CampaignCore::complete(const std::vector<CheckpointEntry>& entries,
     atomicMax(clock.last_us, microsBetween(start_at_, ended));
     settle(scheme, entries.size());
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const CheckpointEntry& e : entries) {
-        if (checkpointing_)
-            partial_[e.task] = e.counts;
-        completed_.push_back(e.task);
+    bool wake_writer = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (checkpointing_) {
+            for (const CheckpointEntry& e : entries)
+                ledger_[e.task] = e.counts;
+            wake_writer = !std::exchange(dirty_, true);
+        }
+        fresh_completed_ += entries.size();
+        chaosOnTaskDone(fresh_completed_);
     }
-    fresh_completed_ += entries.size();
-    chaosOnTaskDone(fresh_completed_);
-    if (!checkpointing_ || interruptRequested())
-        return;
-    const auto interval = std::chrono::duration<double>(
-        std::max(0.0, result_.spec.checkpoint_interval_s));
-    if (Clock::now() - last_flush_ < interval)
-        return;
-    Status s = flushLocked();
-    // Rebase from *after* the write completed, so slow flushes can't
-    // compress the next interval and the cadence stays uniform.
-    last_flush_ = Clock::now();
-    if (!s.ok() && !warned_checkpoint_failure_) {
-        // Degrade gracefully: the campaign still runs, it just can't
-        // persist progress right now.
-        warn(name_ + ": checkpoint write failed (" + s.toString() +
-             "); continuing without");
-        warned_checkpoint_failure_ = true;
-    }
+    if (wake_writer)
+        writer_wake_.notify_one();
 }
 
 void
@@ -472,28 +464,99 @@ CampaignCore::trialsDone() const
 }
 
 Status
-CampaignCore::flushLocked()
+CampaignCore::flush()
 {
     obs::TraceSpan span("checkpoint-flush", "checkpoint");
-    CampaignCheckpoint ckpt;
-    ckpt.fingerprint = fingerprint_;
-    ckpt.manifest = ckpt_manifest_;
-    std::vector<std::uint64_t> indices = completed_;
-    std::sort(indices.begin(), indices.end());
-    ckpt.done.reserve(indices.size());
-    for (std::uint64_t i : indices)
-        ckpt.done.push_back({i, partial_[i]});
-    span.arg("tasks", indices.size());
-    Status s = saveCheckpoint(result_.spec.checkpoint_path, ckpt);
+    Status s;
+    try {
+        CampaignCheckpoint ckpt;
+        ckpt.fingerprint = fingerprint_;
+        ckpt.manifest = ckpt_manifest_;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            dirty_ = false;
+            ckpt.done.reserve(result_.resumed_shards + fresh_completed_);
+            for (std::uint64_t i = 0; i < ledger_.size(); ++i) {
+                if (ledger_[i])
+                    ckpt.done.push_back({i, *ledger_[i]});
+            }
+        }
+        span.arg("tasks", ckpt.done.size());
+        s = saveCheckpoint(result_.spec.checkpoint_path, ckpt);
+    } catch (const std::exception& e) {
+        // Out of memory, say: on the writer thread an escaping
+        // exception would end the process, so it fails the write.
+        s = Status::internalError(std::string("checkpoint: ") + e.what());
+    }
     obs::metrics().add(s.ok() ? checkpoint_flushes_
                               : checkpoint_failures_);
     return s;
+}
+
+void
+CampaignCore::writeCheckpoints()
+{
+    const double interval_s =
+        std::max(0.0, result_.spec.checkpoint_interval_s);
+    // The wait is capped: an interval is a double, which the clock's
+    // integer duration could overflow.
+    constexpr double kMaxWaitS = 3600.0;
+    Clock::time_point last_write = start_at_;
+    bool warned = false;
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        writer_wake_.wait(lock, [&] {
+            return stop_writer_ || (dirty_ && !interruptRequested());
+        });
+        if (stop_writer_)
+            return;
+        const double wait_s =
+            interval_s -
+            std::chrono::duration<double>(Clock::now() - last_write)
+                .count();
+        if (wait_s > 0) {
+            writer_wake_.wait_for(
+                lock,
+                std::chrono::duration<double>(std::min(wait_s, kMaxWaitS)),
+                [&] { return stop_writer_; });
+            continue;
+        }
+        lock.unlock();
+        const Status s = flush();
+        // The interval runs from *after* the write, so slow writes
+        // can't compress the next one and the cadence stays uniform.
+        last_write = Clock::now();
+        if (!s.ok() && !warned) {
+            // Degrade gracefully: the campaign still runs, it just
+            // can't persist progress right now.
+            warn(name_ + ": checkpoint write failed (" + s.toString() +
+                 "); continuing without");
+            warned = true;
+        }
+        lock.lock();
+    }
+}
+
+void
+CampaignCore::stopWriter()
+{
+    if (!writer_.joinable())
+        return;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_writer_ = true;
+    }
+    writer_wake_.notify_one();
+    // Joining also merges the writer's metric shard into the registry.
+    writer_.join();
 }
 
 CampaignResult
 CampaignCore::finish()
 {
     CampaignResult& result = result_;
+    // Before the clock: a write in flight counts as evaluation.
+    stopWriter();
     if (started_) {
         result.seconds = elapsedSeconds();
         result.cpu_seconds = obs::processCpuSeconds() +
@@ -537,19 +600,22 @@ CampaignCore::finish()
         }
     }
 
-    std::lock_guard<std::mutex> lock(mutex_);
     if (checkpointing_) {
-        if (Status s = flushLocked(); !s.ok()) {
+        if (Status s = flush(); !s.ok()) {
             warn(name_ + ": final checkpoint write failed: " +
                  s.toString());
         } else if (result.interrupted) {
+            std::lock_guard<std::mutex> lock(mutex_);
             inform(name_ + ": interrupted; " +
-                   std::to_string(completed_.size()) + " of " +
-                   std::to_string(plan_.tasks.size()) +
+                   std::to_string(result.resumed_shards +
+                                  fresh_completed_) +
+                   " of " + std::to_string(plan_.tasks.size()) +
                    " shard tasks checkpointed to " +
                    result_.spec.checkpoint_path);
         }
     }
+
+    std::lock_guard<std::mutex> lock(mutex_);
 
     // Drop failed schemes from the cells and record them — a partial
     // scheme row would read as a measured (wrong) rate.

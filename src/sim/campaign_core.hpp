@@ -15,10 +15,11 @@
  *    fails that task's cell.
  *  - CampaignCore: the result under construction, per-cell failure
  *    bookkeeping, per-scheme clocks and progress, the checkpoint
- *    ledger (restore, interval flush, final flush, warn-once) and the
- *    finalize step (per-scheme timings and synthetic trace spans,
- *    dropping failed schemes, the metrics delta). The runner and the
- *    dispatcher own one each; the worker needs only the plan.
+ *    ledger (restore, a group-commit writer thread, final flush,
+ *    warn-once) and the finalize step (per-scheme timings and
+ *    synthetic trace spans, dropping failed schemes, the metrics
+ *    delta). The runner and the dispatcher own one each; the worker
+ *    needs only the plan.
  */
 
 #ifndef GPUECC_SIM_CAMPAIGN_CORE_HPP
@@ -26,11 +27,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.hpp"
@@ -170,6 +174,8 @@ class CampaignCore
            std::uint64_t width);
 
     ~CampaignCore();
+    CampaignCore(const CampaignCore&) = delete;
+    CampaignCore& operator=(const CampaignCore&) = delete;
 
     const CampaignPlan& plan() const { return plan_; }
     /** The result under construction; drivers merge the cells. */
@@ -193,9 +199,10 @@ class CampaignCore
     }
 
     /**
-     * Start the clocks and the progress reporter (which owns a
-     * thread: call after every fork). Every task not restored counts
-     * as pending until completed, failed or skipped.
+     * Start the clocks, the progress reporter and, when checkpointing,
+     * the checkpoint writer (both own a thread: call after every
+     * fork). Every task not restored counts as pending until
+     * completed, failed or skipped.
      */
     void start();
 
@@ -209,9 +216,10 @@ class CampaignCore
      * Account freshly evaluated @p entries of one cell, evaluated
      * between @p began and @p ended with @p busy_us of compute: the
      * <driver>.shards_completed and <driver>.trials counters, scheme
-     * clocks, progress, the checkpoint ledger (with its interval
-     * flush) and the chaos kill-point. Cell tallies are the driver's
-     * to merge.
+     * clocks, progress, the checkpoint ledger and the chaos
+     * kill-point. Never touches the disk: a ledger that turns dirty
+     * wakes the checkpoint writer. Cell tallies are the driver's to
+     * merge.
      */
     void complete(const std::vector<CheckpointEntry>& entries,
                   std::uint64_t busy_us, Clock::time_point began,
@@ -240,10 +248,11 @@ class CampaignCore
     std::uint64_t trialsDone() const;
 
     /**
-     * Stop the clocks, flush the final checkpoint (complete on
-     * success, partial on interrupt), fill the per-scheme timings and
-     * their synthetic trace spans, drop failed schemes and take the
-     * metrics delta. Returns the result; call once.
+     * Join the checkpoint writer, stop the clocks, flush the final
+     * checkpoint (complete on success, partial on interrupt), fill
+     * the per-scheme timings and their synthetic trace spans, drop
+     * failed schemes and take the metrics delta. Returns the result;
+     * call once.
      */
     CampaignResult finish();
 
@@ -252,8 +261,20 @@ class CampaignCore
 
     /** Account @p tasks disposed tasks of @p scheme. */
     void settle(std::size_t scheme, std::uint64_t tasks);
-    /** Serialize the ledger; mutex_ held. */
-    Status flushLocked();
+    /**
+     * Write the ledger: snapshot it in plan order under mutex_ (which
+     * must not be held), then serialize and save it unlocked. Counts
+     * <driver>.checkpoint_flushes or _failures on the calling thread.
+     */
+    Status flush();
+    /**
+     * The checkpoint writer thread: once the ledger is dirty and the
+     * interval has passed since its last write, flush — every shard
+     * settled meanwhile rides the same write. Idle after an interrupt.
+     */
+    void writeCheckpoints();
+    /** Stop and join the writer, if running. */
+    void stopWriter();
 
     struct SchemeClock;
 
@@ -283,16 +304,25 @@ class CampaignCore
     std::string fingerprint_; //!< set when checkpointing
     std::vector<std::pair<std::string, std::string>> ckpt_manifest_;
 
-    std::mutex mutex_; //!< everything below
-    /** Per-task tallies, kept only when checkpointing. */
-    std::vector<OutcomeCounts> partial_;
-    /** Plan indices whose tallies the ledger holds. */
-    std::vector<std::uint64_t> completed_;
+    std::mutex mutex_; //!< everything below, up to writer_
+    /**
+     * The checkpoint ledger, kept only when checkpointing: per plan
+     * task, its tallies once restored or completed.
+     */
+    std::vector<std::optional<OutcomeCounts>> ledger_;
+    /** The ledger holds tasks the file on disk does not. */
+    bool dirty_ = false;
+    bool stop_writer_ = false;
+    std::condition_variable writer_wake_;
     /** Tasks evaluated by this run (excludes restored ones). */
     std::uint64_t fresh_completed_ = 0;
-    Clock::time_point last_flush_;
-    bool warned_checkpoint_failure_ = false;
     std::vector<std::pair<std::size_t, std::string>> cell_errors_;
+
+    /**
+     * Runs writeCheckpoints when checkpointing. Declared last: it uses
+     * every member above.
+     */
+    std::thread writer_;
 };
 
 } // namespace gpuecc::sim

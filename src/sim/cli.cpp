@@ -74,8 +74,9 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
                 "restore completed shards from --checkpoint before "
                 "running (bit-identical to an uninterrupted run)");
     cli.addFlag("checkpoint-interval", "30",
-                "min seconds between periodic checkpoint flushes "
-                "(0 = after every shard)");
+                "min seconds between periodic checkpoint writes (0 = "
+                "write continuously; each write covers every shard "
+                "completed since the previous one)");
     cli.addFlag("trace", "",
                 "write a Chrome trace-event JSON (Perfetto-loadable) "
                 "of campaign phases, shards, and checkpoint flushes "
@@ -108,17 +109,18 @@ campaignSpecFromCli(const Cli& cli)
             spec.fleet_secret = env;
     }
     spec.fleet_worker_timeout_s =
-        cli.getDouble("fleet-worker-timeout");
+        cli.getDuration("fleet-worker-timeout", false);
     spec.fleet_heartbeat_timeout_s =
-        cli.getDouble("fleet-heartbeat-timeout");
-    spec.fleet_grace_s = cli.getDouble("fleet-grace");
+        cli.getDuration("fleet-heartbeat-timeout", true);
+    spec.fleet_grace_s = cli.getDuration("fleet-grace", false);
     spec.fleet_max_unit_attempts =
         static_cast<int>(cli.getInt("fleet-max-unit-attempts"));
     spec.obs_listen = cli.getString("obs-listen");
     spec.journal_path = cli.getString("journal");
     spec.checkpoint_path = cli.getString("checkpoint");
     spec.resume = cli.getBool("resume");
-    spec.checkpoint_interval_s = cli.getDouble("checkpoint-interval");
+    spec.checkpoint_interval_s =
+        cli.getDuration("checkpoint-interval", false);
     if (spec.chunk == 0)
         fatal("--chunk must be positive");
     if (spec.threads < 0)
@@ -127,12 +129,6 @@ campaignSpecFromCli(const Cli& cli)
         fatal("--fleet-workers must be in [0, 4096]");
     if (spec.fleet_unit_shards == 0)
         fatal("--fleet-unit must be positive");
-    if (spec.fleet_worker_timeout_s < 0)
-        fatal("--fleet-worker-timeout must be >= 0");
-    if (spec.fleet_heartbeat_timeout_s <= 0)
-        fatal("--fleet-heartbeat-timeout must be positive");
-    if (spec.fleet_grace_s < 0)
-        fatal("--fleet-grace must be >= 0");
     if (spec.fleet_max_unit_attempts < 1)
         fatal("--fleet-max-unit-attempts must be >= 1");
     if ((!spec.obs_listen.empty() || !spec.journal_path.empty()) &&
@@ -142,8 +138,6 @@ campaignSpecFromCli(const Cli& cli)
               "fleet dispatcher");
     if (spec.resume && spec.checkpoint_path.empty())
         fatal("--resume needs --checkpoint to name the file");
-    if (spec.checkpoint_interval_s < 0)
-        fatal("--checkpoint-interval must be >= 0");
     if (cli.getBool("quiet"))
         spec.progress = obs::ProgressMode::off;
     else if (cli.getBool("progress"))

@@ -173,6 +173,24 @@ TEST_F(ChaosTest, PersistentTaskFaultDropsOnlyThatScheme)
     }
 }
 
+/**
+ * Every checkpoint write of @p r failed, and its <driver>.* counters
+ * say so: the writer thread's metric shard reached the result.
+ */
+void
+expectEveryCheckpointWriteFailed(const sim::CampaignResult& r,
+                                 const std::string& driver)
+{
+    const obs::CounterValue* failures =
+        r.metrics.findCounter(driver + ".checkpoint_failures");
+    const obs::CounterValue* flushes =
+        r.metrics.findCounter(driver + ".checkpoint_flushes");
+    ASSERT_NE(failures, nullptr);
+    ASSERT_NE(flushes, nullptr);
+    EXPECT_GE(failures->value, 1u);
+    EXPECT_EQ(flushes->value, 0u);
+}
+
 TEST_F(ChaosTest, CheckpointWriteFailureDegradesGracefully)
 {
     const std::string path =
@@ -192,9 +210,20 @@ TEST_F(ChaosTest, CheckpointWriteFailureDegradesGracefully)
     // able to persist progress.
     EXPECT_FALSE(r.interrupted);
     EXPECT_TRUE(r.errors.empty());
+    expectEveryCheckpointWriteFailed(r, "campaign");
+
+    // The fleet dispatcher shares the writer, and its fleet.* pair.
+    spec.fleet_workers = 2;
+    const sim::CampaignResult fleet = sim::CampaignRunner(spec).run();
+    EXPECT_FALSE(fleet.interrupted);
+    EXPECT_TRUE(fleet.errors.empty());
+    expectEveryCheckpointWriteFailed(fleet, "fleet");
+
     sim::clearChaosSpec();
+    spec.fleet_workers = 0;
     const sim::CampaignResult base = sim::CampaignRunner(spec).run();
     expectSameCells(base, r);
+    expectSameCells(base, fleet);
     std::remove(path.c_str());
 }
 

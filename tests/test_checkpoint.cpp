@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/interrupt.hpp"
 #include "common/status.hpp"
 #include "sim/campaign.hpp"
+#include "sim/campaign_core.hpp"
 #include "sim/chaos.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/json.hpp"
@@ -427,6 +433,149 @@ TEST_F(ResumeTest, FingerprintMismatchIsFailedPrecondition)
     const auto r = sim::CampaignRunner(spec).tryRun();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::failedPrecondition);
+    std::remove(path.c_str());
+}
+
+TEST_F(ResumeTest, CheckpointWriterNeverTearsOrShrinksTheFile)
+{
+    // The writer thread rewrites the file while shards settle; a
+    // reader polling it throughout must only ever see complete files
+    // of this campaign, each a superset of the one before. In-process:
+    // a fleet run would fork its workers with the reader alive.
+    const std::string path = tempPath("gpuecc_ck_writer.json");
+    std::remove(path.c_str());
+    sim::CampaignSpec spec;
+    spec.scheme_ids = {"duet", "trio"};
+    spec.patterns = {ErrorPattern::oneBeat, ErrorPattern::wholeEntry};
+    spec.samples = 100000;
+    spec.chunk = 1024;
+    spec.threads = 2;
+    const auto planned = sim::CampaignCore::create(
+        spec, sim::CampaignCore::Driver::inProcess, spec.threads,
+        static_cast<std::uint64_t>(spec.threads));
+    ASSERT_TRUE(planned.ok());
+    const std::string fingerprint =
+        planned.value()->plan().fingerprint();
+    spec.checkpoint_path = path;
+    spec.checkpoint_interval_s = 0;
+
+    // One load: of this campaign, and holding every task of the
+    // load before it with the same tallies.
+    std::vector<std::string> problems;
+    std::map<std::uint64_t, OutcomeCounts> previous;
+    const auto check = [&](const Result<sim::CampaignCheckpoint>& loaded) {
+        if (!loaded.ok()) {
+            problems.push_back(loaded.status().toString());
+            return;
+        }
+        if (loaded.value().fingerprint != fingerprint)
+            problems.push_back("foreign fingerprint");
+        std::map<std::uint64_t, OutcomeCounts> now;
+        for (const sim::CheckpointEntry& e : loaded.value().done)
+            now[e.task] = e.counts;
+        for (const auto& [task, counts] : previous) {
+            const auto it = now.find(task);
+            if (it == now.end() || it->second.trials != counts.trials ||
+                it->second.dce != counts.dce ||
+                it->second.due != counts.due ||
+                it->second.sdc != counts.sdc ||
+                it->second.exhaustive != counts.exhaustive)
+                problems.push_back("task " + std::to_string(task) +
+                                   " lost or changed");
+        }
+        previous = std::move(now);
+    };
+    std::atomic<bool> running{true};
+    std::thread reader([&] {
+        while (running.load()) {
+            const auto loaded = sim::loadCheckpoint(path);
+            if (loaded.status().code() != ErrorCode::notFound)
+                check(loaded);
+        }
+    });
+    const sim::CampaignResult r = sim::CampaignRunner(spec).run();
+    running.store(false);
+    reader.join();
+
+    // The file left behind: the last in the series, holding every task.
+    check(sim::loadCheckpoint(path));
+    EXPECT_TRUE(problems.empty()) << problems.front();
+    EXPECT_EQ(previous.size(), r.shards);
+    const obs::CounterValue* flushes =
+        r.metrics.findCounter("campaign.checkpoint_flushes");
+    ASSERT_NE(flushes, nullptr);
+    EXPECT_GE(flushes->value, 1u);
+    EXPECT_LE(flushes->value, r.shards + 1);
+    std::remove(path.c_str());
+}
+
+/**
+ * A started core writing checkpoints to @p path continuously, with
+ * task 0 of its four completed: the writer has news.
+ */
+std::unique_ptr<sim::CampaignCore>
+coreWithOneTaskCompleted(const std::string& path)
+{
+    sim::CampaignSpec spec;
+    spec.scheme_ids = {"duet"};
+    spec.patterns = {ErrorPattern::oneBeat};
+    spec.samples = 4096;
+    spec.chunk = 1024;
+    spec.checkpoint_path = path;
+    spec.checkpoint_interval_s = 0;
+    auto created = sim::CampaignCore::create(
+        spec, sim::CampaignCore::Driver::inProcess, 1, 1);
+    if (!created.ok())
+        return nullptr;
+    std::unique_ptr<sim::CampaignCore> core = std::move(created).value();
+    core->start();
+    auto arena = std::make_unique<ShardBatchArena>();
+    const auto counts = core->plan().evaluateTask(0, *arena);
+    if (!counts.ok())
+        return nullptr;
+    const auto now = std::chrono::steady_clock::now();
+    core->complete({{0, counts.value()}}, 0, now, now);
+    return core;
+}
+
+TEST_F(ResumeTest, CheckpointWriterJoinsWhenTheCoreDiesUnfinished)
+{
+    // A driver that throws between start() and finish() destroys its
+    // core with the writer running: no std::terminate, and whatever
+    // the writer managed to write still loads.
+    const std::string path = tempPath("gpuecc_ck_unfinished.json");
+    std::remove(path.c_str());
+    std::unique_ptr<sim::CampaignCore> core =
+        coreWithOneTaskCompleted(path);
+    ASSERT_NE(core, nullptr);
+    core.reset();
+
+    const auto loaded = sim::loadCheckpoint(path);
+    if (loaded.status().code() != ErrorCode::notFound) {
+        ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+        ASSERT_EQ(loaded.value().done.size(), 1u);
+        EXPECT_EQ(loaded.value().done[0].task, 0u);
+    }
+    std::remove(path.c_str());
+}
+
+TEST_F(ResumeTest, CheckpointWriterCountsReachTheResult)
+{
+    // The writer counts its writes on its own thread's metric shard,
+    // and finish() joins it before the metrics delta: the result holds
+    // the writer's write and the final flush.
+    const std::string path = tempPath("gpuecc_ck_counted.json");
+    std::remove(path.c_str());
+    std::unique_ptr<sim::CampaignCore> core =
+        coreWithOneTaskCompleted(path);
+    ASSERT_NE(core, nullptr);
+    for (int i = 0; i < 1000 && !sim::loadCheckpoint(path).ok(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const sim::CampaignResult r = core->finish();
+    const obs::CounterValue* flushes =
+        r.metrics.findCounter("campaign.checkpoint_flushes");
+    ASSERT_NE(flushes, nullptr);
+    EXPECT_EQ(flushes->value, 2u);
     std::remove(path.c_str());
 }
 

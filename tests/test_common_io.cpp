@@ -6,6 +6,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "sim/cli.hpp"
 
 namespace gpuecc {
 namespace {
@@ -100,16 +101,21 @@ TEST(CliTest, TryGetRejectsMalformedNumbers)
     Cli cli;
     cli.addFlag("samples", "1000", "sample count");
     cli.addFlag("rate", "2.5", "a rate");
-    const char* argv[] = {"prog", "--samples", "12abc",
-                          "--rate", "fast"};
-    ASSERT_TRUE(cli.tryParse(5, const_cast<char**>(argv)).ok());
+    cli.addFlag("nan", "0", "not a number");
+    cli.addFlag("inf", "0", "infinite");
+    const char* argv[] = {"prog", "--samples", "12abc", "--rate",
+                          "fast", "--nan", "nan", "--inf", "inf"};
+    ASSERT_TRUE(cli.tryParse(9, const_cast<char**>(argv)).ok());
 
     const auto n = cli.tryGetInt("samples");
     ASSERT_FALSE(n.ok());
     EXPECT_EQ(n.status().code(), ErrorCode::invalidArgument);
-    const auto d = cli.tryGetDouble("rate");
-    ASSERT_FALSE(d.ok());
-    EXPECT_EQ(d.status().code(), ErrorCode::invalidArgument);
+    // strtod accepts nan and inf; no flag does.
+    for (const char* name : {"rate", "nan", "inf"}) {
+        const auto d = cli.tryGetDouble(name);
+        ASSERT_FALSE(d.ok()) << name;
+        EXPECT_EQ(d.status().code(), ErrorCode::invalidArgument);
+    }
 
     // Well-formed values still come through the same accessors.
     const char* ok_argv[] = {"prog", "--samples=42", "--rate=0.5"};
@@ -129,6 +135,26 @@ TEST(CliDeathTest, ParseExitsWithUsageCodeOnUnknownFlag)
     EXPECT_EXIT(cli.parse(2, const_cast<char**>(argv), "test"),
                 ::testing::ExitedWithCode(kUsageExitCode),
                 "unknown flag");
+}
+
+TEST(CliDeathTest, CampaignDurationsMustBeFiniteAndBounded)
+{
+    // Durations become int milliseconds downstream: a value past
+    // kMaxDurationSeconds, or one that is not finite, exits like the
+    // other range checks, naming the flag.
+    const auto specFrom = [](const char* flag, const char* value) {
+        Cli cli;
+        sim::addCampaignFlags(cli, "1000");
+        const char* argv[] = {"prog", flag, value};
+        cli.parse(3, const_cast<char**>(argv), "test");
+        return sim::campaignSpecFromCli(cli);
+    };
+    EXPECT_EXIT(specFrom("--fleet-heartbeat-timeout", "1e300"),
+                ::testing::ExitedWithCode(1), "fleet-heartbeat-timeout");
+    EXPECT_EXIT(specFrom("--checkpoint-interval", "inf"),
+                ::testing::ExitedWithCode(1), "checkpoint-interval");
+    EXPECT_EQ(specFrom("--checkpoint-interval", "1e6").checkpoint_interval_s,
+              kMaxDurationSeconds);
 }
 
 TEST(CliDeathTest, GetIntDiesOnMalformedValue)

@@ -72,20 +72,15 @@ main(int argc, char** argv)
             options.secret = env;
     }
     options.name = cli.getString("name");
-    options.heartbeat_interval_s = cli.getDouble("heartbeat-interval");
-    options.io_timeout_s = cli.getDouble("io-timeout");
-    options.backoff_initial_s = cli.getDouble("backoff-initial");
-    options.backoff_max_s = cli.getDouble("backoff-max");
+    options.heartbeat_interval_s =
+        cli.getDuration("heartbeat-interval", true);
+    options.io_timeout_s = cli.getDuration("io-timeout", true);
+    options.backoff_initial_s = cli.getDuration("backoff-initial", true);
+    options.backoff_max_s = cli.getDuration("backoff-max", true);
     options.max_reconnects =
         static_cast<int>(cli.getInt("max-reconnects"));
-    if (options.heartbeat_interval_s <= 0)
-        fatal("--heartbeat-interval must be positive");
-    if (options.io_timeout_s <= 0)
-        fatal("--io-timeout must be positive");
-    if (options.backoff_initial_s <= 0 ||
-        options.backoff_max_s < options.backoff_initial_s)
-        fatal("--backoff-initial/--backoff-max must be positive and "
-              "ordered");
+    if (options.backoff_max_s < options.backoff_initial_s)
+        fatal("--backoff-initial/--backoff-max must be ordered");
 
     installInterruptHandlers();
     return net::runFleetAgent(options);
