@@ -31,7 +31,8 @@ class Rng
 
     /**
      * Next raw 64-bit value. Inline: the samplers draw one value per
-     * bit of a corrupted region, so the call itself is on the hot path.
+     * 64-bit segment of a corrupted region (5 per entry mask) and one
+     * or more per sparse mask, so the call itself is on the hot path.
      */
     std::uint64_t
     next64()

@@ -115,18 +115,16 @@ classifyErrorMask(const Bits288& mask)
 namespace {
 
 /**
- * @p n <= 64 fair coin flips packed LSB-first from @p n draws. Bit i
- * is set exactly when the top bit of draw i is clear, which is
- * exactly when rng.nextBool(0.5) would have been true — so packing
- * consumes the stream, and yields the masks, of a bit-by-bit loop.
+ * 1 <= @p n <= 64 fair coin flips from one draw: its low @p n bits,
+ * bit i of the draw as flip i. Every output bit of xoshiro256** is
+ * uniform, so one draw serves a whole word segment (sampler
+ * version 2).
  */
 std::uint64_t
 drawBits(int n, Rng& rng)
 {
-    std::uint64_t bits = 0;
-    for (int i = 0; i < n; ++i)
-        bits |= (~rng.next64() >> 63) << i;
-    return bits;
+    const std::uint64_t draw = rng.next64();
+    return n == 64 ? draw : draw & ((std::uint64_t{1} << n) - 1);
 }
 
 /** Pin @p pin's bits in the beats set in @p beats (bit b = beat b). */
@@ -147,7 +145,7 @@ sampleRegion(ErrorPattern target, int region_lo, int region_bits,
              Rng& rng)
 {
     for (;;) {
-        // Fill the region word by word, in draw order.
+        // Fill the region word by word, one draw per word segment.
         Bits288 mask;
         for (int pos = region_lo, end = region_lo + region_bits;
              pos < end;) {

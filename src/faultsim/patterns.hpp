@@ -69,12 +69,23 @@ ErrorPattern classifyErrorMask(const Bits288& mask);
  * the classification constraints; pin/byte/beat/entry patterns flip
  * each bit of their region i.i.d. with p = 1/2 and redraw until the
  * mask classifies as the requested shape (the uniform random
- * corruption model the paper adopts for evaluation). Region bits
- * take one draw each, in bit order, set when the draw's top bit is
- * clear: the stream every sampled tally is drawn from, pinned by
- * tests/test_patterns.cpp.
+ * corruption model the paper adopts for evaluation). A region is
+ * filled one 64-bit word segment at a time, in bit order, and each
+ * segment of len <= 64 bits is the low len bits of one draw (a pin's
+ * 4 beats are the low 4 bits of one draw). That stream is sampler
+ * version kSamplerVersion, pinned by tests/test_patterns.cpp.
  */
 Bits288 sampleErrorMask(ErrorPattern p, Rng& rng);
+
+/**
+ * Version of sampleErrorMask's stream. Version 1 spent one draw per
+ * region bit (its top bit, clear = set); version 2 takes a whole word
+ * segment from one draw. The distribution is the same, the masks are
+ * not, so the version is part of every campaign fingerprint: a
+ * checkpoint or fleet worker of another version is refused, never
+ * merged.
+ */
+constexpr int kSamplerVersion = 2;
 
 /**
  * Visit every instance of an exhaustively enumerable pattern

@@ -181,6 +181,9 @@ struct RunManifest
     bool affinity = false;
     std::vector<std::string> schemes;
     bool traced = false;
+    /** sampleErrorMask stream version (kSamplerVersion); 0 for a
+        tool that samples no error masks. */
+    int sampler = 0;
 };
 
 /** The GPUECC_CHAOS environment text ("" when unset). */

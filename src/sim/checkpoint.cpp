@@ -72,6 +72,7 @@ campaignFingerprint(const std::vector<std::string>& scheme_ids,
                   task_count);
     fp += buf;
     fp += ";backend=" + codec_backend;
+    fp += ";sampler=" + std::to_string(kSamplerVersion);
     return fp;
 }
 

@@ -55,8 +55,9 @@ struct CampaignCheckpoint
  * Identity of a campaign plan, as a readable string. Two campaigns
  * with equal fingerprints have identical task lists and identical
  * per-task tallies; anything that changes the plan or the draws
- * (schemes, patterns, samples, seed, chunk, codec backend) changes
- * the fingerprint. The thread count itself is deliberately absent —
+ * (schemes, patterns, samples, seed, chunk, codec backend, and the
+ * build's kSamplerVersion) changes the fingerprint. The thread count
+ * itself is deliberately absent —
  * tallies are thread-invariant, so a campaign may resume on
  * different cores as long as the *effective* chunk (which the runner
  * passes here, and which a small sample budget can tie to the worker

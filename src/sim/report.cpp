@@ -149,7 +149,8 @@ campaignCsv(const CampaignResult& result)
                   result.spec.samples, result.spec.seed,
                   result.spec.chunk);
     out += buf;
-    out += " codec=" + result.codec_backend + "\n";
+    out += " codec=" + result.codec_backend +
+           " sampler=" + std::to_string(kSamplerVersion) + "\n";
     out += "scheme,pattern,trials,dce,due,sdc,exhaustive,"
            "dce_rate,due_rate,sdc_rate,sdc_ci_lo,"
            "sdc_ci_hi\n";
@@ -187,6 +188,7 @@ campaignRunManifest(const CampaignResult& result)
     m.affinity = result.pool.affinity;
     m.schemes = result.spec.scheme_ids;
     m.traced = obs::traceEnabled();
+    m.sampler = kSamplerVersion;
     return m;
 }
 
@@ -213,6 +215,7 @@ writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest)
         w.value(id);
     w.endArray();
     w.kv("traced", manifest.traced);
+    w.kv("sampler", manifest.sampler);
     w.endObject();
 }
 

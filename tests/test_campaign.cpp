@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include "ecc/registry.hpp"
 #include "faultsim/shard.hpp"
 #include "faultsim/weighted.hpp"
 #include "sim/campaign.hpp"
+#include "sim/json.hpp"
 #include "sim/report.hpp"
 
 namespace gpuecc {
@@ -261,6 +263,32 @@ TEST(CampaignReport, CsvAndJsonContainEveryCell)
     EXPECT_NE(json.find("\"timing\""), std::string::npos);
     EXPECT_NE(json.find("\"build_type\""), std::string::npos);
     EXPECT_NE(json.find("\"utilization\""), std::string::npos);
+}
+
+TEST(CampaignReport, ManifestsNameTheSamplerVersion)
+{
+    // Two reports of one seed from builds of different sampler
+    // versions hold different sampled tallies; both manifests say so.
+    sim::CampaignSpec spec;
+    spec.scheme_ids = {"duet"};
+    spec.patterns = {ErrorPattern::oneBeat};
+    spec.samples = 1000;
+    const sim::CampaignResult r = sim::CampaignRunner(spec).run();
+
+    const std::string csv = sim::campaignCsv(r);
+    const std::string comment = csv.substr(0, csv.find('\n'));
+    const std::string term = " sampler=" + std::to_string(kSamplerVersion);
+    ASSERT_GE(comment.size(), term.size());
+    EXPECT_EQ(comment.substr(comment.size() - term.size()), term)
+        << comment;
+
+    const auto json = sim::parseJson(sim::campaignJson(r));
+    ASSERT_TRUE(json.ok()) << json.status().toString();
+    const sim::JsonValue* manifest = json.value().find("manifest");
+    ASSERT_NE(manifest, nullptr);
+    ASSERT_NE(manifest->find("sampler"), nullptr);
+    EXPECT_EQ(manifest->find("sampler")->asUint64().value(),
+              static_cast<std::uint64_t>(kSamplerVersion));
 }
 
 TEST(Campaign, UnknownSchemeIsSkippedAndRecorded)

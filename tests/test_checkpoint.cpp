@@ -153,6 +153,17 @@ TEST(CheckpointFingerprint, SensitiveToEveryPlanInput)
                                              64, "compiled", 13));
 }
 
+TEST(CheckpointFingerprint, NamesTheSamplerVersion)
+{
+    // Two builds whose samplers draw different masks from one seed
+    // must never share a fingerprint, so the stream version is a plan
+    // input like the seed.
+    const std::string fp = sim::campaignFingerprint(
+        {"duet"}, {ErrorPattern::oneBeat}, 1000, 0x5EED, 1024,
+        "compiled", 1);
+    EXPECT_NE(fp.find(";sampler=2"), std::string::npos) << fp;
+}
+
 // --------------------------------------------------------- save / load
 
 sim::CampaignCheckpoint
@@ -433,6 +444,59 @@ TEST_F(ResumeTest, FingerprintMismatchIsFailedPrecondition)
     const auto r = sim::CampaignRunner(spec).tryRun();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::failedPrecondition);
+    std::remove(path.c_str());
+}
+
+TEST_F(ResumeTest, CheckpointOfAnOlderSamplerIsRefused)
+{
+    // A checkpoint as a sampler-1 build wrote it: the same plan, its
+    // fingerprint without the sampler term. Its tallies come from
+    // other masks, so both drivers must refuse it whole.
+    const std::string path = tempPath("gpuecc_ck_sampler1.json");
+    for (const int fleet_workers : {0, 2}) {
+        std::remove(path.c_str());
+        sim::CampaignSpec spec;
+        spec.scheme_ids = {"duet"};
+        spec.patterns = {ErrorPattern::oneBeat};
+        spec.samples = 10000;
+        spec.chunk = 1024;
+        spec.fleet_workers = fleet_workers;
+        spec.checkpoint_path = path;
+        spec.checkpoint_interval_s = 0;
+        ASSERT_TRUE(sim::CampaignRunner(spec).tryRun().ok());
+
+        Result<sim::CampaignCheckpoint> loaded = sim::loadCheckpoint(path);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+        sim::CampaignCheckpoint stale = loaded.value();
+        const std::string ours = stale.fingerprint;
+        const std::string term = ";sampler=2";
+        const std::size_t at = ours.find(term);
+        ASSERT_NE(at, std::string::npos) << ours;
+        stale.fingerprint.erase(at, term.size());
+        ASSERT_TRUE(sim::saveCheckpoint(path, stale).ok());
+        const Result<std::string> before = sim::loadTextFile(path);
+        ASSERT_TRUE(before.ok());
+
+        spec.resume = true;
+        const auto r = sim::CampaignRunner(spec).tryRun();
+        ASSERT_FALSE(r.ok()) << "fleet_workers " << fleet_workers;
+        EXPECT_EQ(r.status().code(), ErrorCode::failedPrecondition);
+        const std::string& message = r.status().message();
+        EXPECT_NE(message.find("written by a different campaign"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("theirs: " + stale.fingerprint + "\n"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("ours:   " + ours), std::string::npos)
+            << message;
+        // Nothing restored, nothing written: the refused file is as the
+        // older build left it.
+        const Result<std::string> after = sim::loadTextFile(path);
+        ASSERT_TRUE(after.ok());
+        EXPECT_EQ(after.value(), before.value())
+            << "fleet_workers " << fleet_workers;
+    }
     std::remove(path.c_str());
 }
 

@@ -9,10 +9,15 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/interrupt.hpp"
+#include "common/subprocess.hpp"
 #include "fleet/dispatch.hpp"
 #include "fleet/protocol.hpp"
+#include "fleet/worker.hpp"
 #include "sim/campaign.hpp"
+#include "sim/campaign_core.hpp"
 #include "sim/chaos.hpp"
 
 namespace gpuecc {
@@ -230,6 +235,64 @@ TEST(FleetProtocol, GarbageLinesAreStructuredErrors)
     EXPECT_FALSE(sim::fleet::decodeServerLine("[1,2]\n").ok());
     EXPECT_FALSE(sim::fleet::decodeWorkerLine("{\"type\":\"bogus\"}\n")
                      .ok());
+}
+
+TEST(FleetWorker, ConfigOfAnOlderSamplerIsRefusedAtSetup)
+{
+    // A parent of an older sampler version sends its own fingerprint:
+    // the same plan without the sampler term. The worker must answer
+    // worker_error and exit with the setup code before evaluating.
+    const sim::CampaignSpec spec = smallSpec();
+    std::vector<sim::CampaignError> skipped;
+    const Result<sim::CampaignPlan> plan = sim::CampaignPlan::build(
+        spec.scheme_ids, spec.patterns, spec.samples, spec.seed, 1024,
+        skipped);
+    ASSERT_TRUE(plan.ok()) << plan.status().toString();
+    const std::string ours = plan.value().fingerprint();
+    const std::string term = ";sampler=2";
+    const std::size_t at = ours.find(term);
+    ASSERT_NE(at, std::string::npos) << ours;
+
+    FleetConfig cfg;
+    cfg.worker = 1;
+    cfg.scheme_ids = spec.scheme_ids;
+    cfg.patterns = spec.patterns;
+    cfg.samples = spec.samples;
+    cfg.seed = spec.seed;
+    cfg.chunk = 1024;
+    cfg.fingerprint = std::string(ours).erase(at, term.size());
+    cfg.codec_backend = "compiled";
+
+    int to_worker[2];
+    int from_worker[2];
+    ASSERT_EQ(::pipe(to_worker), 0);
+    ASSERT_EQ(::pipe(from_worker), 0);
+    ASSERT_TRUE(
+        writeAllFd(to_worker[1], sim::fleet::encodeConfigLine(cfg)).ok());
+    closeFd(to_worker[1]);
+    EXPECT_EQ(sim::fleet::fleetWorkerMain(to_worker[0], from_worker[1],
+                                          60000),
+              sim::fleet::kWorkerSetupExit);
+    closeFd(to_worker[0]);
+    closeFd(from_worker[1]);
+
+    LineReader replies(from_worker[0]);
+    const Result<std::string> line = replies.readLine();
+    ASSERT_TRUE(line.ok()) << line.status().toString();
+    const auto reply = sim::fleet::decodeWorkerLine(line.value());
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    EXPECT_EQ(reply.value().kind, WorkerMessage::Kind::worker_error);
+    const std::string& message = reply.value().message;
+    EXPECT_EQ(message.rfind("plan fingerprint mismatch", 0), 0u)
+        << message;
+    EXPECT_NE(message.find("parent: " + cfg.fingerprint + "\n"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("worker: " + ours), std::string::npos)
+        << message;
+    // That one line, then the end of the stream: no result followed.
+    EXPECT_EQ(replies.readLine().status().code(), ErrorCode::notFound);
+    closeFd(from_worker[0]);
 }
 
 TEST(Fleet, TalliesBitIdenticalToInProcess)

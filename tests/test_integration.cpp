@@ -7,6 +7,7 @@
  * process-per-test execution.
  */
 
+#include <cmath>
 #include <map>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "faultsim/evaluator.hpp"
 #include "faultsim/weighted.hpp"
 #include "reliability/system.hpp"
+#include "sim/campaign.hpp"
 
 namespace gpuecc {
 namespace {
@@ -135,6 +137,57 @@ TEST(PaperClaims, SystemLevelProjectionsFollowFigure9)
     EXPECT_TRUE(av.satisfiesIso26262(e.weighted.at("trio")));
     EXPECT_NEAR(av.vehicleSdcFit(e.weighted.at("ni-secded")), 216.0,
                 25.0);
+}
+
+TEST(ClosedForm, BeatAndEntryNonDueMatchCosetCounts)
+{
+    // Every decoder here is a syndrome decoder of a linear code, and a
+    // uniform mask over a region has a uniform syndrome over the
+    // region's syndrome image, so a codeword decodes without a DUE
+    // with probability (1 + correctable syndromes) / |image|. Codewords
+    // that see disjoint bits are independent. Masks the Table 1 rule
+    // reclassifies (<= 3 bits, one byte, one pin) are below 1e-16 of a
+    // beat or entry. This holds for any correct sampler stream.
+    //  - SEC-DED: 8-bit syndrome, 72 columns: 73/256 per codeword. A
+    //    beat is one NI codeword, or 18 bits of each of 4 I codewords;
+    //    an entry is 4 whole codewords either way.
+    //  - I:SSC, 2 codewords of 18 8-bit symbols: a whole codeword has
+    //    the full 16-bit image, 1 + 18 * 255 = 4591 correctable. A beat
+    //    fills one nibble of each symbol, and S0 is the symbols' XOR,
+    //    so the image has rank 12 with 1 + 18 * 15 = 271 correctable.
+    const double secded = 73.0 / 256;
+    const std::map<std::pair<std::string, ErrorPattern>, double> exact = {
+        {{"ni-secded", ErrorPattern::oneBeat}, secded},
+        {{"i-secded", ErrorPattern::oneBeat}, std::pow(secded, 4)},
+        {{"ni-secded", ErrorPattern::wholeEntry}, std::pow(secded, 4)},
+        {{"i-secded", ErrorPattern::wholeEntry}, std::pow(secded, 4)},
+        {{"i-ssc", ErrorPattern::oneBeat}, std::pow(271.0 / 4096, 2)},
+        {{"i-ssc", ErrorPattern::wholeEntry},
+         std::pow(4591.0 / 65536, 2)},
+    };
+    for (const std::uint64_t seed : {1, 2}) {
+        sim::CampaignSpec spec;
+        spec.scheme_ids = {"ni-secded", "i-secded", "i-ssc"};
+        spec.patterns = {ErrorPattern::oneBeat, ErrorPattern::wholeEntry};
+        spec.samples = 1000000;
+        spec.seed = seed;
+        spec.threads = 2;
+        const sim::CampaignResult r = sim::CampaignRunner(spec).run();
+        ASSERT_EQ(r.cells.size(), exact.size());
+        for (const sim::CampaignCell& cell : r.cells) {
+            const double p = exact.at({cell.scheme_id, cell.pattern});
+            const OutcomeCounts& c = cell.counts;
+            ASSERT_EQ(c.trials, spec.samples);
+            const double non_due =
+                1.0 - static_cast<double>(c.due) / c.trials;
+            const double z =
+                (non_due - p) / std::sqrt(p * (1 - p) / c.trials);
+            EXPECT_LE(std::abs(z), 5.0)
+                << cell.scheme_id << " " << patternInfo(cell.pattern).label
+                << " seed " << seed << ": non-DUE " << non_due
+                << ", exact " << p << ", z " << z;
+        }
+    }
 }
 
 } // namespace

@@ -1,7 +1,10 @@
 /** @file Tests for the Table 1 error-pattern model. */
 
+#include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,9 +16,10 @@ namespace gpuecc {
 namespace {
 
 /**
- * The bit-at-a-time sampler and set-bit-walking classifier the
- * word-wide ones replaced: the reference that pins the sampled
- * stream. The same Table 1 rules, written out one bit at a time.
+ * A bit-at-a-time sampler and set-bit-walking classifier: the
+ * reference that pins the sampled stream (sampler version 2). The
+ * same Table 1 rules and the same packing, written out one bit at a
+ * time.
  */
 namespace reference {
 
@@ -57,10 +61,20 @@ sampleRegion(ErrorPattern target, int region_lo, int region_bits,
              Rng& rng)
 {
     for (;;) {
+        // The region splits at 64-bit word boundaries into segments.
+        // Each segment takes one fresh draw, and its k-th bit is bit k
+        // of that draw.
         Bits288 mask;
+        std::uint64_t draw = 0;
+        int k = 0;
         for (int i = 0; i < region_bits; ++i) {
-            if (rng.nextBool(0.5))
-                mask.set(region_lo + i, 1);
+            const int phys = region_lo + i;
+            if (i == 0 || phys % 64 == 0) {
+                draw = rng.next64();
+                k = 0;
+            }
+            if ((draw >> k++) & 1)
+                mask.set(phys, 1);
         }
         if (!mask.none() && classify(mask) == target)
             return mask;
@@ -72,9 +86,11 @@ samplePin(Rng& rng)
 {
     const int pin = static_cast<int>(rng.nextBounded(layout::num_pins));
     for (;;) {
+        // One draw per attempt: beat b is bit b of the draw.
+        const std::uint64_t draw = rng.next64();
         Bits288 mask;
         for (int beat = 0; beat < layout::num_beats; ++beat) {
-            if (rng.nextBool(0.5))
+            if ((draw >> beat) & 1)
                 mask.set(layout::physicalIndex(beat, pin), 1);
         }
         if (mask.popcount() >= 2)
@@ -306,6 +322,85 @@ TEST(Sampler, ByteSeveritiesSpanRange)
     EXPECT_EQ(*seen.rbegin(), 8);
 }
 
+TEST(SamplerDistribution, RegionBitsAreFairAndIndependent)
+{
+    // Holds for any correct sampler stream, so it vouches for a
+    // stream change the frozen hashes below cannot. Per region
+    // pattern: each region bit is set with its probability given the
+    // mask's shape (a pin mask is one of the 11 4-bit masks with >= 2
+    // bits, 7 of which set a given beat; a byte mask one of 247, 127);
+    // bits j and j + 64 of an entry, which come from different word
+    // segments, agree half the time; and the mean popcount is half
+    // the region.
+    constexpr int n = 200000;
+    const auto expectRate = [&](std::uint64_t hits, double p,
+                               const std::string& what) {
+        const double sigma = std::sqrt(p * (1 - p) / n);
+        EXPECT_LE(std::abs(static_cast<double>(hits) / n - p),
+                  5 * sigma)
+            << what << ": " << hits << " of " << n << ", want " << p;
+    };
+    struct Region
+    {
+        ErrorPattern pattern;
+        int bits;
+        double p;
+    };
+    for (const Region& r :
+         {Region{ErrorPattern::onePin, layout::num_beats, 7.0 / 11},
+          Region{ErrorPattern::oneByte, 8, 127.0 / 247},
+          Region{ErrorPattern::oneBeat, layout::beat_bits, 0.5},
+          Region{ErrorPattern::wholeEntry, layout::entry_bits, 0.5}}) {
+        const std::string label = patternInfo(r.pattern).label;
+        // Index of a set bit within its region.
+        const auto regionBit = [&](int phys) {
+            switch (r.pattern) {
+              case ErrorPattern::onePin:
+                return layout::beatOf(phys);
+              case ErrorPattern::oneByte:
+                return phys % 8;
+              case ErrorPattern::oneBeat:
+                return phys % layout::beat_bits;
+              default:
+                return phys;
+            }
+        };
+        Rng rng(0xD157 + static_cast<std::uint64_t>(r.pattern));
+        std::vector<std::uint64_t> set(r.bits, 0);
+        std::vector<std::uint64_t> agree(224, 0);
+        std::uint64_t popcount = 0;
+        for (int i = 0; i < n; ++i) {
+            const Bits288 mask = sampleErrorMask(r.pattern, rng);
+            mask.forEachSetBit([&](int phys) { ++set[regionBit(phys)]; });
+            popcount += static_cast<std::uint64_t>(mask.popcount());
+            if (r.pattern != ErrorPattern::wholeEntry)
+                continue;
+            for (int j = 0; j < 224; ++j) {
+                const std::uint64_t same =
+                    ~(mask.word(j / 64) ^ mask.word(j / 64 + 1));
+                agree[j] += (same >> (j % 64)) & 1;
+            }
+        }
+        for (int b = 0; b < r.bits; ++b)
+            expectRate(set[b], r.p, label + " bit " + std::to_string(b));
+        if (r.pattern == ErrorPattern::wholeEntry) {
+            for (int j = 0; j < 224; ++j) {
+                expectRate(agree[j], 0.5,
+                           "entry bits " + std::to_string(j) + " and " +
+                               std::to_string(j + 64) + " agree");
+            }
+        }
+        if (r.pattern == ErrorPattern::oneBeat ||
+            r.pattern == ErrorPattern::wholeEntry) {
+            // r.bits fair coins: mean r.bits / 2, variance r.bits / 4.
+            const double mean = static_cast<double>(popcount) / n;
+            EXPECT_LE(std::abs(mean - r.bits / 2.0),
+                      5 * std::sqrt(r.bits / 4.0 / n))
+                << label << " mean popcount " << mean;
+        }
+    }
+}
+
 TEST(SamplerStream, MatchesBitAtATimeReference)
 {
     // Bit polarity, draw order and rejection all show here: a sampler
@@ -328,9 +423,12 @@ TEST(SamplerStream, MatchesBitAtATimeReference)
 
 TEST(SamplerStream, FrozenHashes)
 {
+    static_assert(kSamplerVersion == 2,
+                  "a new sampler version re-freezes these hashes");
     // FNV-1a 64 over the words of 10,000 masks per pattern, then the
     // generator's next value — the stream every sampled tally is
-    // drawn from.
+    // drawn from, at sampler version 2. The 1 Bit, 2 Bits and 3 Bits
+    // rows are version 1's too: only the region patterns changed.
     struct Frozen
     {
         ErrorPattern pattern;
@@ -339,14 +437,14 @@ TEST(SamplerStream, FrozenHashes)
     };
     const Frozen frozen[] = {
         {ErrorPattern::oneBit, 0xca81121c76576157, 0x60a22c4dbddb417b},
-        {ErrorPattern::onePin, 0x4f661e22658c7872, 0x10280a84f9f07293},
-        {ErrorPattern::oneByte, 0xa1b92f2798ce4c5b, 0x8fac29a3a5631e36},
+        {ErrorPattern::onePin, 0x4e438bf894b327e1, 0x8f754791864ecef7},
+        {ErrorPattern::oneByte, 0x5962449f289009f2, 0x477712cb4f027f8d},
         {ErrorPattern::twoBits, 0x5429efccdc836ef7, 0x0b5286d18b1e5c33},
         {ErrorPattern::threeBits, 0x9fd4dd8d436982d8,
          0x158f0515e7dbbac0},
-        {ErrorPattern::oneBeat, 0x4daeac8d2946f984, 0x5c95a6f69bcbdc68},
-        {ErrorPattern::wholeEntry, 0x041056820944b019,
-         0xbb1fc70e650b8e2e},
+        {ErrorPattern::oneBeat, 0xc933f0fec7a9846b, 0xcfe84b1f1e49e559},
+        {ErrorPattern::wholeEntry, 0x2b4e2e0667314fce,
+         0x0d7328a99e4f11b0},
     };
     for (const Frozen& f : frozen) {
         Rng rng(0x5EED);
