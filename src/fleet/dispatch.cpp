@@ -78,9 +78,8 @@ struct FleetDispatch::Impl
     obs::FleetTelemetry telemetry;
 
     /**
-     * One ledger row per host *connection* (a reconnecting agent gets
-     * a new row; hostSeries merges rows by label), plus what replaying
-     * its spans needs. Guarded by state_mutex.
+     * One ledger row per host, plus what replaying its spans needs.
+     * Guarded by state_mutex.
      */
     struct HostSlot
     {
@@ -90,10 +89,10 @@ struct FleetDispatch::Impl
         std::chrono::steady_clock::time_point config_sent_at;
         std::uint64_t config_sent_trace_us = 0;
         /**
-         * Best (minimum) observed "server µs since config send minus
+         * Best (minimum) observed "parent µs since config send minus
          * host µs since config receipt" — converges on the one-way
-         * config delivery latency, the wall-clock correction remote
-         * span timestamps need.
+         * config delivery latency through the pipe, the correction the
+         * host's span timestamps need.
          */
         bool has_offset = false;
         std::int64_t min_offset_us = 0;
@@ -176,12 +175,12 @@ struct FleetDispatch::Impl
             journal->append(event, fields, nums);
     }
 
-    /** Latest slot registered for @p worker; state_mutex held. */
+    /** The slot registered for @p worker; state_mutex held. */
     HostSlot* slotForLocked(int worker)
     {
-        for (auto it = hosts.rbegin(); it != hosts.rend(); ++it)
-            if (it->row.worker == worker)
-                return &*it;
+        for (HostSlot& slot : hosts)
+            if (slot.row.worker == worker)
+                return &slot;
         return nullptr;
     }
 
@@ -231,21 +230,14 @@ FleetDispatch::create(const CampaignSpec& spec)
     impl->campaign_span = std::make_unique<obs::TraceSpan>(
         "fleet-campaign", "campaign");
 
-    // Size shards so every host can hold whole units. Without a
-    // listen address the worker count is exact; the socket service
-    // cannot know how many agents will ever join, so it plans for a
-    // reasonable floor — the two modes therefore fingerprint
-    // differently (documented; tallies are chunk-invariant, so the
-    // CSV is identical either way). Evaluation happens in
-    // single-threaded hosts, so the result truthfully reports one
+    // Size shards so every worker can hold whole units: one slot per
+    // shard of a unit per worker. Evaluation happens in
+    // single-threaded workers, so the result truthfully reports one
     // thread, not pool parallelism that never existed.
-    const std::uint64_t workers =
-        static_cast<std::uint64_t>(spec.fleet_workers);
-    const std::uint64_t width =
-        spec.fleet_listen.empty() ? workers
-                                  : std::max<std::uint64_t>(workers, 8);
     const std::uint64_t slots = std::min<std::uint64_t>(
-        width * spec.fleet_unit_shards, std::uint64_t{1} << 20);
+        static_cast<std::uint64_t>(spec.fleet_workers) *
+            spec.fleet_unit_shards,
+        std::uint64_t{1} << 20);
     Result<std::unique_ptr<CampaignCore>> core = CampaignCore::create(
         spec, CampaignCore::Driver::fleet, 1, slots);
     if (!core.ok())
@@ -406,6 +398,19 @@ FleetDispatch::validateResult(const WorkerMessage& msg) const
     return {};
 }
 
+Status
+FleetDispatch::validateUnitError(const WorkerMessage& msg,
+                                 std::uint64_t in_flight) const
+{
+    if (msg.unit != in_flight) {
+        return Status::dataLoss("unit_error names unit " +
+                                std::to_string(msg.unit) +
+                                ", not the unit in flight (" +
+                                std::to_string(in_flight) + ")");
+    }
+    return {};
+}
+
 bool
 FleetDispatch::completeUnit(const WorkerMessage& msg,
                             Clock::time_point dispatch_at,
@@ -513,7 +518,7 @@ FleetDispatch::finishInProcess()
     warn("fleet: no hosts left with " +
          std::to_string(d.remaining.load(std::memory_order_acquire)) +
          " units pending; finishing in-process");
-    registerHost(-1, "parent", false);
+    registerHost(-1, "parent");
     d.journalAppend(
         "fallback", {},
         {{"remaining",
@@ -576,16 +581,8 @@ FleetDispatch::noteHeartbeatExpiry()
 }
 
 void
-FleetDispatch::noteAuthFailure()
-{
-    std::lock_guard<std::mutex> lock(impl_->state_mutex);
-    ++impl_->telemetry.auth_failures;
-    impl_->journalAppend("auth_fail");
-}
-
-void
 FleetDispatch::registerHost(int worker, const std::string& label,
-                            bool remote, std::int64_t pid)
+                            std::int64_t pid)
 {
     Impl& d = *impl_;
     std::lock_guard<std::mutex> lock(d.state_mutex);
@@ -593,16 +590,10 @@ FleetDispatch::registerHost(int worker, const std::string& label,
     slot.row.worker = worker;
     slot.row.label = label;
     slot.row.pid = pid;
-    slot.row.remote = remote;
-    if (remote)
-        slot.row.agent = label;
     slot.config_sent_at = std::chrono::steady_clock::now();
     slot.config_sent_trace_us = obs::traceNowUs();
     d.hosts.push_back(std::move(slot));
-    if (remote)
-        ++d.telemetry.agents_connected;
-    d.journalAppend("connect", {{"host", label}},
-                    {{"remote", std::uint64_t{remote ? 1u : 0u}}});
+    d.journalAppend("connect", {{"host", label}});
 }
 
 void
@@ -744,23 +735,8 @@ FleetDispatch::finalize()
 std::vector<HostSample>
 hostSeries(const std::vector<obs::FleetWorkerRecord>& hosts)
 {
-    std::vector<obs::FleetWorkerRecord> merged;
-    for (const obs::FleetWorkerRecord& h : hosts) {
-        auto it = std::find_if(
-            merged.begin(), merged.end(),
-            [&](const auto& m) { return m.label == h.label; });
-        if (it == merged.end()) {
-            merged.push_back(h);
-            continue;
-        }
-        it->units += h.units;
-        it->shards += h.shards;
-        it->trials += h.trials;
-        for (const auto& [name, value] : h.counters)
-            accumulate(it->counters, name, value);
-    }
     std::vector<HostSample> out;
-    for (const obs::FleetWorkerRecord& m : merged) {
+    for (const obs::FleetWorkerRecord& m : hosts) {
         out.push_back({m.label, "units", m.units});
         out.push_back({m.label, "shards", m.shards});
         out.push_back({m.label, "trials", m.trials});

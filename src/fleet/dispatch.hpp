@@ -7,14 +7,13 @@
  * shared campaign plan (sim/campaign_core.hpp), the unit queue,
  * unit-granular resume, requeue/poison accounting, per-host credit
  * and telemetry, and result finalization. The fleet service
- * (net/service.cpp) runs one liaison loop per host — forked local
- * worker or authenticated agent alike — over this surface: claim a
- * unit, round-trip it to the host, then settle it exactly once via
- * completeUnit / failUnit / requeueUnit.
+ * (net/service.cpp) runs one liaison loop per forked local worker
+ * over this surface: claim a unit, round-trip it to the worker, then
+ * settle it exactly once via completeUnit / failUnit / requeueUnit.
  *
  * The dispatcher is also the fleet's one ledger. Each fact is counted
- * once, here: one obs::FleetWorkerRecord per host connection (credit,
- * shipped counters, how it ended), the fault counters of
+ * once, here: one obs::FleetWorkerRecord per host (credit, shipped
+ * counters, how it ended), the fault counters of
  * obs::FleetTelemetry, and — through the campaign core — shard and
  * trial progress. /status, /metrics, timing.fleet and the
  * fleet.host.<label>.* series are all rendered from it.
@@ -28,8 +27,7 @@
  * result from a host that was presumed dead is discarded — counted in
  * fleet.duplicate_results — instead of double-merging. That is what
  * makes the merged tallies bit-identical to an in-process run no
- * matter how many hosts died, reconnected, or replayed lines along
- * the way.
+ * matter how many hosts died or replayed lines along the way.
  *
  * Requeues are capped (spec.fleet_max_unit_attempts): a poison unit
  * that kills every host it lands on is retired after the cap — its
@@ -76,7 +74,7 @@ struct DispatchStatus
     double units_per_second = 0.0;
     /** Negative = unknown (nothing settled live yet). */
     double eta_seconds = -1.0;
-    /** Every host connection's row, the in-process fallback's too. */
+    /** Every host's row, the in-process fallback's too. */
     std::vector<obs::FleetWorkerRecord> hosts;
 };
 
@@ -89,10 +87,9 @@ struct HostSample
 };
 
 /**
- * The host-labelled series of @p hosts: per label, its units, shards
- * and trials, then the counters its hosts shipped — summed over every
- * row with that label, so a reconnecting agent reports as one host.
- * Labels keep first-connection order. The one label merge: the
+ * The host-labelled series of @p hosts: per row, its units, shards
+ * and trials, then the counters it shipped, in registration order.
+ * Each row has its own label ("local-<worker>" or "parent"). The
  * campaign's fleet.host.* counters and /metrics both render from it.
  */
 std::vector<HostSample>
@@ -130,7 +127,7 @@ class FleetDispatch
     const WorkUnit& unit(std::uint64_t u) const;
     /** Units not settled by resume restore at create() time. */
     std::uint64_t initialPendingUnits() const;
-    /** The config line payload for one worker/agent. */
+    /** The config line payload for one worker. */
     FleetConfig configFor(int worker) const;
     ///@}
 
@@ -162,6 +159,16 @@ class FleetDispatch
      * tallies) — the same tally validator checkpoint resume uses.
      */
     Status validateResult(const WorkerMessage& msg) const;
+
+    /**
+     * Validate a decoded unit_error message against the unit its host
+     * holds in flight (@p in_flight): a unit_error is only ever about
+     * that unit, so any other index — possibly one outside the plan —
+     * is a broken peer, refused before it can touch the settlement
+     * table.
+     */
+    Status validateUnitError(const WorkerMessage& msg,
+                             std::uint64_t in_flight) const;
 
     /**
      * Merge a validated result, settle the unit it names and credit
@@ -201,31 +208,29 @@ class FleetDispatch
     void noteWorkerLost();
     void noteWorkerTimeout();
     void noteHeartbeatExpiry();
-    void noteAuthFailure();
     ///@}
 
     /** @name The host ledger */
     ///@{
 
     /**
-     * Add a ledger row for a host connection — a forked local worker
-     * (@p pid its process id), an authenticated remote agent, or the
-     * in-process fallback (worker -1). Call at config-send time: the
-     * instant is captured on both the steady and trace clocks and
-     * becomes the reference every span timestamp the host later ships
-     * is rebased against (a host's clock reads "µs since it received
-     * the config"). Journals the connect and counts remote ones in
-     * fleet.agents_connected. A local worker that could not be forked
-     * is registered too, then closed as lost.
+     * Add a ledger row for a host — a forked local worker (@p pid its
+     * process id) or the in-process fallback (worker -1). Call at
+     * config-send time: the instant is captured on both the steady
+     * and trace clocks and becomes the reference every span timestamp
+     * the host later ships is rebased against (a worker's clock reads
+     * "µs since it received the config"). Journals the connect. A
+     * local worker that could not be forked is registered too, then
+     * closed as lost.
      */
-    void registerHost(int worker, const std::string& label, bool remote,
+    void registerHost(int worker, const std::string& label,
                       std::int64_t pid = 0);
 
     /**
-     * Record how @p worker's connection ended: a local worker's
-     * @p exit_code (0 for agents), and whether the host was @p lost —
-     * dead, retired or never started — before the queue drained.
-     * Counting a loss in fleet.workers_lost is noteWorkerLost's job.
+     * Record how @p worker ended: its @p exit_code, and whether it was
+     * @p lost — dead, retired or never started — before the queue
+     * drained. Counting a loss in fleet.workers_lost is
+     * noteWorkerLost's job.
      */
     void closeHost(int worker, int exit_code, bool lost);
 

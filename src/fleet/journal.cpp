@@ -179,8 +179,6 @@ summarizeJournal(const std::vector<JournalEvent>& events)
         } else if (e.event == "connect") {
             ++summary.connects;
             ++host(e.str("host")).connects;
-        } else if (e.event == "auth_fail") {
-            ++summary.auth_failures;
         } else if (e.event == "dispatch") {
             ++host(e.str("host")).dispatches;
             dispatched_at[e.num("unit")] = e.ts_us;
@@ -267,8 +265,7 @@ formatJournalSummary(const JournalSummary& summary)
            " requeues, " + std::to_string(summary.expiries) +
            " heartbeat expiries, " + std::to_string(summary.timeouts) +
            " timeouts, " + std::to_string(summary.hosts_lost) +
-           " hosts lost, " + std::to_string(summary.auth_failures) +
-           " auth failures, " + std::to_string(summary.fallbacks) +
+           " hosts lost, " + std::to_string(summary.fallbacks) +
            " fallbacks\n";
     out += std::string("drain: ") +
            (summary.drained

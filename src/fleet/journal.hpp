@@ -53,7 +53,7 @@ parseJournal(const std::string& text);
 /** Per-host activity reconstructed from dispatch/result events. */
 struct JournalHostSummary
 {
-    std::string host; //!< host label ("alpha", "local-0", "parent")
+    std::string host; //!< host label ("local-0", "parent")
     std::uint64_t connects = 0;
     std::uint64_t dispatches = 0;
     std::uint64_t results = 0;
@@ -89,7 +89,6 @@ struct JournalSummary
     std::uint64_t timeouts = 0;
     std::uint64_t hosts_lost = 0;
     std::uint64_t connects = 0;
-    std::uint64_t auth_failures = 0;
     std::uint64_t fallbacks = 0;
     bool drained = false;
     bool interrupted = false;

@@ -198,111 +198,6 @@ encodeWorkerErrorLine(int worker, const std::string& message)
 }
 
 std::string
-encodeChallengeLine(const std::string& nonce_hex)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.kv("type", "challenge");
-    w.kv("nonce", nonce_hex);
-    w.endObject();
-    return w.str() + "\n";
-}
-
-Result<std::string>
-decodeChallengeLine(const std::string& line)
-{
-    Result<JsonValue> doc = parseLine(line, "challenge");
-    if (!doc.ok())
-        return doc.status();
-    return getString(doc.value(), "nonce");
-}
-
-std::string
-encodeAuthLine(const std::string& agent, const std::string& mac_hex)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.kv("type", "auth");
-    w.kv("agent", agent);
-    w.kv("mac", mac_hex);
-    w.endObject();
-    return w.str() + "\n";
-}
-
-Result<AuthRequest>
-decodeAuthLine(const std::string& line)
-{
-    Result<JsonValue> doc = parseLine(line, "auth");
-    if (!doc.ok())
-        return doc.status();
-    AuthRequest out;
-    Result<std::string> agent = getString(doc.value(), "agent");
-    Result<std::string> mac = getString(doc.value(), "mac");
-    if (!agent.ok())
-        return agent.status();
-    if (!mac.ok())
-        return mac.status();
-    out.agent = agent.value();
-    out.mac = mac.value();
-    return out;
-}
-
-std::string
-encodeWelcomeLine(int worker, const std::string& mac_hex)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.kv("type", "welcome");
-    w.kv("worker", worker);
-    w.kv("mac", mac_hex);
-    w.endObject();
-    return w.str() + "\n";
-}
-
-std::string
-encodeAuthErrorLine(const std::string& message)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.kv("type", "auth_error");
-    w.kv("message", message);
-    w.endObject();
-    return w.str() + "\n";
-}
-
-Result<Welcome>
-decodeWelcomeLine(const std::string& line)
-{
-    Result<JsonValue> doc = parseLine(line, "");
-    if (!doc.ok())
-        return doc.status();
-    const JsonValue& root = doc.value();
-    const std::string type =
-        getString(root, "type").value(); // parseLine validated it
-    if (type == "auth_error") {
-        Result<std::string> message = getString(root, "message");
-        return Status::failedPrecondition(
-            "fleet auth rejected: " +
-            (message.ok() ? message.value() : std::string("(no detail)")));
-    }
-    if (type != "welcome") {
-        return Status::dataLoss("fleet handshake: expected a welcome "
-                                "line, got " +
-                                type);
-    }
-    Welcome out;
-    Result<std::uint64_t> worker = getUint(root, "worker");
-    Result<std::string> mac = getString(root, "mac");
-    if (!worker.ok())
-        return worker.status();
-    if (!mac.ok())
-        return mac.status();
-    out.worker = static_cast<int>(worker.value());
-    out.mac = mac.value();
-    return out;
-}
-
-std::string
 encodeHeartbeatLine(int worker, std::uint64_t now_us)
 {
     JsonWriter w;
@@ -449,8 +344,7 @@ decodeWorkerLine(const std::string& line)
     }
     if (type == "heartbeat") {
         out.kind = WorkerMessage::Kind::heartbeat;
-        // Optional worker clock sample (absent on lines from older
-        // agents).
+        // Optional worker clock sample (absent when it reads 0).
         if (root.get("now_us").ok()) {
             Result<std::uint64_t> now = getUint(root, "now_us");
             if (!now.ok())

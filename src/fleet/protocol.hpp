@@ -1,7 +1,7 @@
 /**
  * @file
- * Fleet wire protocol: newline-delimited JSON, the same over a local
- * worker's pipe pair and an agent's TCP connection.
+ * Fleet wire protocol: newline-delimited JSON over a forked local
+ * worker's pipe pair.
  *
  * The parent sends one *config* line (the full campaign plan identity:
  * schemes, patterns, samples, seed, effective chunk, fingerprint,
@@ -16,14 +16,11 @@
  * worker and requeues its unit.
  *
  * Around that sits a small session layer: *heartbeat* lines from the
- * host (liveness — a host whose heartbeats stop is retired and its
- * unit requeued), *telemetry* lines, and a *shutdown* line from the
- * parent for graceful drain. A TCP agent first passes a challenge →
- * auth → welcome handshake (HMAC over a server nonce proves both
- * sides hold the shared secret before any plan data moves); a local
- * worker, forked by the parent itself, skips it. Every line is
- * bounded by kMaxWireLineBytes at the parser; an oversized line is a
- * structured dataLoss, never unbounded buffer growth.
+ * worker (liveness — a worker whose heartbeats stop is retired and
+ * its unit requeued), *telemetry* lines, and a *shutdown* line from
+ * the parent for graceful drain. Every line is bounded by
+ * kMaxWireLineBytes at the parser; an oversized line is a structured
+ * dataLoss, never unbounded buffer growth.
  */
 
 #ifndef GPUECC_FLEET_PROTOCOL_HPP
@@ -79,7 +76,7 @@ struct WorkUnit
 /**
  * One completed worker-side trace span, timestamped on the *worker's*
  * clock as microseconds since that worker received its config line.
- * The server rebases these onto its own trace timeline using the
+ * The dispatcher rebases these onto its own trace timeline using the
  * config-send timestamp plus the clock-offset estimate refined by
  * heartbeat `now_us` samples (see DESIGN.md §17).
  */
@@ -135,20 +132,6 @@ struct ServerMessage
     WorkUnit unit; //!< kind == unit only
 };
 
-/** Agent's identity + proof from an auth line. */
-struct AuthRequest
-{
-    std::string agent; //!< free-form agent name (for logs)
-    std::string mac;   //!< hex HMAC over the server's nonce
-};
-
-/** Worker index + server proof from a welcome line. */
-struct Welcome
-{
-    int worker = 0;  //!< dense worker index assigned to this agent
-    std::string mac; //!< hex HMAC proving the server holds the secret
-};
-
 /** @name Line encoders (each returns one '\n'-terminated line) */
 ///@{
 std::string encodeConfigLine(const FleetConfig& config);
@@ -158,11 +141,6 @@ std::string encodeUnitErrorLine(std::uint64_t unit, int worker,
                                 const std::string& message);
 std::string encodeWorkerErrorLine(int worker,
                                   const std::string& message);
-std::string encodeChallengeLine(const std::string& nonce_hex);
-std::string encodeAuthLine(const std::string& agent,
-                           const std::string& mac_hex);
-std::string encodeWelcomeLine(int worker, const std::string& mac_hex);
-std::string encodeAuthErrorLine(const std::string& message);
 /** `now_us` is the worker-relative clock sample used for clock-offset
     refinement; 0 means "no sample". */
 std::string encodeHeartbeatLine(int worker, std::uint64_t now_us = 0);
@@ -175,10 +153,6 @@ std::string encodeShutdownLine();
 Result<FleetConfig> decodeConfigLine(const std::string& line);
 Result<WorkerMessage> decodeWorkerLine(const std::string& line);
 Result<ServerMessage> decodeServerLine(const std::string& line);
-Result<std::string> decodeChallengeLine(const std::string& line);
-Result<AuthRequest> decodeAuthLine(const std::string& line);
-/** An auth_error line decodes as failedPrecondition (do not retry). */
-Result<Welcome> decodeWelcomeLine(const std::string& line);
 ///@}
 
 } // namespace gpuecc::sim::fleet

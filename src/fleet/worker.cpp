@@ -11,21 +11,35 @@
 
 #include "common/codec_mode.hpp"
 #include "common/status.hpp"
+#include "common/subprocess.hpp"
+#include "fleet/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "sim/campaign_core.hpp"
 #include "sim/chaos.hpp"
 
 namespace gpuecc::sim::fleet {
 
-ServeEnd
-serveFleetUnits(const FleetConfig& cfg, LineReader& in,
-                const WriteLineFn& write_line,
-                const ServeOptions& opts)
+int
+fleetWorkerMain(int read_fd, int write_fd, int heartbeat_interval_ms)
 {
-    // Config receipt is this host's clock epoch: every timestamp it
+    LineReader in(read_fd, kMaxWireLineBytes);
+
+    Result<std::string> config_line = in.readLine();
+    if (!config_line.ok())
+        return kWorkerProtocolExit;
+    Result<FleetConfig> config = decodeConfigLine(config_line.value());
+    if (!config.ok()) {
+        // The nonzero exit code is the backstop for when even the
+        // write fails.
+        writeAllFd(write_fd,
+                   encodeWorkerErrorLine(-1, config.status().toString()));
+        return kWorkerSetupExit;
+    }
+    const FleetConfig& cfg = config.value();
+
+    // Config receipt is this worker's clock epoch: every timestamp it
     // ships (heartbeat now_us, telemetry spans) is "µs since now", so
-    // the dispatcher can rebase them onto its own clock without the
-    // two machines sharing one.
+    // the dispatcher can rebase them onto its own trace clock.
     const auto config_at = std::chrono::steady_clock::now();
     const auto sinceConfig = [config_at] {
         return microsBetween(config_at, std::chrono::steady_clock::now());
@@ -36,14 +50,14 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
     std::mutex write_mutex;
     const auto send = [&](const std::string& line) -> Status {
         std::lock_guard<std::mutex> lock(write_mutex);
-        return write_line(line);
+        return writeAllFd(write_fd, line);
     };
 
     // Setup failures travel back as a worker_error line so the
     // dispatcher can log *why* instead of just seeing a hangup.
     const auto bail = [&](const std::string& message) {
         send(encodeWorkerErrorLine(cfg.worker, message));
-        return ServeEnd::setup;
+        return kWorkerSetupExit;
     };
 
     setCodecBackend(cfg.codec_backend == "reference"
@@ -83,7 +97,7 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         std::unique_lock<std::mutex> lock(mutex);
         while (!tick.wait_for(
             lock, stop,
-            std::chrono::milliseconds(opts.heartbeat_interval_ms),
+            std::chrono::milliseconds(heartbeat_interval_ms),
             [&stop] { return stop.stop_requested(); })) {
             if (!chaosStalled())
                 send(encodeHeartbeatLine(cfg.worker, sinceConfig()));
@@ -102,26 +116,24 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
     obs::MetricsSnapshot metrics_baseline = reg.snapshot();
 
     for (;;) {
-        Result<std::string> line = in.readLine(opts.read_deadline_ms);
+        Result<std::string> line = in.readLine();
         if (line.status().code() == ErrorCode::notFound)
-            return ServeEnd::eof; // dispatcher hung up
-        if (isDeadlineExpired(line.status()))
-            return ServeEnd::silent; // dispatcher went quiet
+            return 0; // dispatcher hung up
         if (!line.ok())
-            return ServeEnd::protocol;
+            return kWorkerProtocolExit;
 
         Result<ServerMessage> decoded = decodeServerLine(line.value());
         if (!decoded.ok()) {
             bail(decoded.status().toString());
-            return ServeEnd::protocol;
+            return kWorkerProtocolExit;
         }
         if (decoded.value().kind == ServerMessage::Kind::shutdown)
-            return ServeEnd::shutdown;
+            return 0;
         const WorkUnit& unit = decoded.value().unit;
         if (unit.first_task + unit.task_count > plan.tasks.size()) {
             bail("unit " + std::to_string(unit.unit) +
                  " is outside the plan");
-            return ServeEnd::protocol;
+            return kWorkerProtocolExit;
         }
 
         // Chaos kill-point: simulates this host crashing (or hanging)
@@ -185,46 +197,21 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
             failure.empty()
                 ? encodeResultLine(result)
                 : encodeUnitErrorLine(unit.unit, cfg.worker, failure);
-        if (!send(reply).ok())
-            return ServeEnd::protocol;
+        if (!send(reply).ok()) {
+            // A graceful drain requeues the unit in flight and hangs
+            // up without waiting for it, so the reply can find the
+            // pipe closed; the shutdown line written before the hangup
+            // is still buffered, and a drained worker exits cleanly.
+            Result<std::string> next = in.readLine(0);
+            if (next.ok()) {
+                Result<ServerMessage> msg = decodeServerLine(next.value());
+                if (msg.ok() &&
+                    msg.value().kind == ServerMessage::Kind::shutdown)
+                    return 0;
+            }
+            return kWorkerProtocolExit;
+        }
     }
-}
-
-int
-fleetWorkerMain(int read_fd, int write_fd, int heartbeat_interval_ms)
-{
-    LineReader in(read_fd, kMaxWireLineBytes);
-
-    Result<std::string> config_line = in.readLine();
-    if (!config_line.ok())
-        return kWorkerProtocolExit;
-    Result<FleetConfig> config = decodeConfigLine(config_line.value());
-    if (!config.ok()) {
-        // The nonzero exit code is the backstop for when even the
-        // write fails.
-        writeAllFd(write_fd,
-                   encodeWorkerErrorLine(-1, config.status().toString()));
-        return kWorkerSetupExit;
-    }
-
-    ServeOptions opts;
-    opts.heartbeat_interval_ms = heartbeat_interval_ms;
-    switch (serveFleetUnits(
-        config.value(), in,
-        [write_fd](const std::string& line) {
-            return writeAllFd(write_fd, line);
-        },
-        opts)) {
-      case ServeEnd::eof:
-      case ServeEnd::shutdown:
-        return 0;
-      case ServeEnd::setup:
-        return kWorkerSetupExit;
-      case ServeEnd::silent:
-      case ServeEnd::protocol:
-        return kWorkerProtocolExit;
-    }
-    return kWorkerProtocolExit;
 }
 
 } // namespace gpuecc::sim::fleet

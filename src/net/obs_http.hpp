@@ -5,17 +5,11 @@
  * A deliberately tiny HTTP/1.1 server (GET only, one request per
  * connection, Connection: close) that serves whatever the registered
  * handler renders — the campaign service mounts /metrics (Prometheus
- * text) and /status (JSON) on it. It reuses the fleet's socket RAII
- * and the LineReader's bounded, deadline-guarded reads, so a slow,
- * hostile, or chaos-garbled client can never hold the thread: every
- * read and write carries a ~2 s deadline and the request line is
- * capped at 8 KiB (an oversized or unparsable request just closes the
- * connection).
- *
- * Responses go through plain writeAllFd, NOT sendWireLine: the
- * endpoint must not consume chaos wire-line indices, or curling
- * /metrics mid-run would shift which fleet protocol line a
- * deterministic net_* chaos fault lands on.
+ * text) and /status (JSON) on it. It reuses net/socket's RAII and
+ * the LineReader's bounded, deadline-guarded reads, so a slow or
+ * hostile client can never hold the thread: every read and write
+ * carries a ~2 s deadline and the request line is capped at 8 KiB (an
+ * oversized or unparsable request just closes the connection).
  */
 
 #ifndef GPUECC_NET_OBS_HTTP_HPP

@@ -1,15 +1,15 @@
 /**
  * @file
- * Minimal TCP primitives for the fleet campaign service.
+ * Minimal TCP primitives for the observability endpoint.
  *
- * Status-based wrappers over the POSIX socket surface, shaped for the
- * fleet wire protocol: a listener that polls for connections with a
- * timeout (so the accept loop can also watch the interrupt flag and
- * the drain condition), and a blocking IPv4 connect for the agent.
- * Everything stays at the fd level — framing, deadlines, and bounded
- * reads come from common/subprocess's LineReader/writeAllFd, which
- * work on any stream fd. On non-POSIX platforms every entry point
- * reports unavailable, mirroring the subprocess helpers.
+ * Status-based wrappers over the POSIX socket surface: a listener
+ * that polls for connections with a timeout (so the endpoint's accept
+ * loop can also watch its stop flag), and a blocking IPv4 connect for
+ * a client of it. Everything stays at the fd level — framing,
+ * deadlines, and bounded reads come from common/subprocess's
+ * LineReader/writeAllFd, which work on any stream fd. On non-POSIX
+ * platforms every entry point reports unavailable, mirroring the
+ * subprocess helpers.
  */
 
 #ifndef GPUECC_NET_SOCKET_HPP
@@ -51,7 +51,7 @@ class TcpListener
 
     /**
      * Bind and listen on @p address (SO_REUSEADDR so a restarted
-     * service reclaims its port without waiting out TIME_WAIT).
+     * campaign reclaims its port without waiting out TIME_WAIT).
      */
     static Result<TcpListener> listen(const SocketAddress& address);
 

@@ -41,7 +41,7 @@ constexpr std::uint64_t kJournalVersion = 1;
 class EventJournal
 {
   public:
-    /** String fields of one event ([["agent","alpha"], ...]). */
+    /** String fields of one event ([["host","local-0"], ...]). */
     using Fields = std::vector<std::pair<std::string, std::string>>;
     /** Numeric fields of one event ([["unit",7], ...]). */
     using Nums = std::vector<std::pair<std::string, std::uint64_t>>;

@@ -71,16 +71,16 @@ struct SchemeTiming
 };
 
 /**
- * One fleet host connection's row in the dispatcher's ledger: a
- * forked local worker, an agent connection, or the in-process
- * fallback. The credit fields count settled units only, once each;
- * /status, /metrics, timing.fleet.worker_records and the
- * fleet.host.<label>.* series all render from these rows.
+ * One fleet host's row in the dispatcher's ledger: a forked local
+ * worker or the in-process fallback. The credit fields count settled
+ * units only, once each; /status, /metrics,
+ * timing.fleet.worker_records and the fleet.host.<label>.* series all
+ * render from these rows.
  */
 struct FleetWorkerRecord
 {
     int worker = 0;         //!< dense worker index (-1: the fallback)
-    /** "local-<worker>", the agent's name, or "parent". */
+    /** "local-<worker>", or "parent" for the fallback. */
     std::string label;
     std::int64_t pid = 0;   //!< OS process id (provenance only)
     std::uint64_t units = 0;  //!< work units completed
@@ -95,10 +95,6 @@ struct FleetWorkerRecord
     /** Died, broke protocol or never started before the queue
         drained. */
     bool lost = false;
-    /** Served over a socket by a remote agent (pid is meaningless). */
-    bool remote = false;
-    /** Remote agent's self-reported name ("" for local workers). */
-    std::string agent;
 };
 
 /** Fleet-level execution telemetry (workers == 0: in-process run). */
@@ -120,14 +116,10 @@ struct FleetTelemetry
     std::uint64_t workers_lost = 0;
     /** Hosts retired by the in-flight unit deadline. */
     std::uint64_t worker_timeouts = 0;
-    /** Remote agents retired for wire silence (missed heartbeats). */
+    /** Hosts retired for silence (missed heartbeats). */
     std::uint64_t heartbeat_expiries = 0;
-    /** Remote agent connections accepted (reconnects count again). */
-    std::uint64_t agents_connected = 0;
-    /** Connections rejected by the shared-secret handshake. */
-    std::uint64_t auth_failures = 0;
     ///@}
-    /** One row per forked worker, then one per agent connection. */
+    /** One row per forked worker, in fork order. */
     std::vector<FleetWorkerRecord> worker_records;
 };
 
@@ -155,10 +147,6 @@ inline constexpr FleetFaultCounter kFleetFaultCounters[] = {
      &FleetTelemetry::worker_timeouts},
     {"heartbeat_expiries", "fleet.heartbeat_expiries",
      &FleetTelemetry::heartbeat_expiries},
-    {"agents_connected", "fleet.agents_connected",
-     &FleetTelemetry::agents_connected},
-    {"auth_failures", "fleet.auth_failures",
-     &FleetTelemetry::auth_failures},
 };
 
 /** Provenance block embedded in reports and checkpoints. */

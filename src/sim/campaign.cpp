@@ -115,7 +115,7 @@ CampaignRunner::tryRun() const
     // process spawns any threads — the fleet service owns that
     // ordering, so hand over before the pool (or progress reporter)
     // exists.
-    if (spec_.fleet_workers > 0 || !spec_.fleet_listen.empty())
+    if (spec_.fleet_workers > 0)
         return net::runFleetService(spec_);
 
     const obs::MetricId shard_micros = shardMicrosMetric();

@@ -70,11 +70,10 @@ struct CampaignSpec
      * Fleet mode: number of local worker *processes* to fork and
      * dispatch work units to over pipes (src/fleet, driven by the
      * fleet service in src/net). 0 (the default) runs the campaign
-     * in-process on the thread pool, unless fleet_listen is set.
-     * Tallies and the CSV report are bit-identical either way — fleet
-     * mode only changes who evaluates each shard, never what is
-     * drawn. Requires a platform with fork/pipe; elsewhere tryRun
-     * reports unavailable.
+     * in-process on the thread pool. Tallies and the CSV report are
+     * bit-identical either way — fleet mode only changes who
+     * evaluates each shard, never what is drawn. Requires a platform
+     * with fork/pipe; elsewhere tryRun reports unavailable.
      */
     int fleet_workers = 0;
     /**
@@ -84,47 +83,19 @@ struct CampaignSpec
      * in-flight unit is re-queued whole).
      */
     std::uint64_t fleet_unit_shards = 4;
-
     /**
-     * A "host:port" address to also serve the campaign on to remote
-     * worker agents (tools/fleet_agent); empty (the default) serves
-     * local workers only. Port 0 binds an ephemeral port (tests read
-     * it back). Agents and the fleet_workers local workers share the
-     * work through one liaison loop; with 0 local workers the agents
-     * carry the campaign alone.
-     */
-    std::string fleet_listen;
-    /**
-     * Shared secret for the agent handshake. Both sides prove
-     * possession with an HMAC over a per-connection server nonce
-     * before any plan data moves; the secret itself never travels.
-     * Required (non-empty) in service mode.
-     */
-    std::string fleet_secret;
-    /**
-     * Seconds a dispatched unit may stay in flight before its host is
-     * declared hung — the host is retired (killed, for a local
-     * worker) and the unit requeued. 0 (the default) disables the
-     * deadline: a unit's evaluation time is spec-dependent and the
-     * caller knows the scale. Applies to local workers and agents
-     * alike.
+     * Seconds a dispatched unit may stay in flight before its worker
+     * is declared hung — the worker is killed and the unit requeued.
+     * 0 (the default) disables the deadline: a unit's evaluation time
+     * is spec-dependent and the caller knows the scale.
      */
     double fleet_worker_timeout_s = 0.0;
     /**
-     * Seconds of wire silence (no result, no heartbeat) before the
-     * fleet declares a host dead and requeues its in-flight unit.
-     * Local workers beat at a quarter of this interval; agents at
-     * their own configured interval.
+     * Seconds of silence (no result, no heartbeat) before the fleet
+     * declares a worker dead and requeues its in-flight unit. Workers
+     * beat at a quarter of this interval.
      */
     double fleet_heartbeat_timeout_s = 10.0;
-    /**
-     * Seconds with no live host (local worker or agent) before a
-     * fleet_listen campaign stops waiting for agents to (re)connect
-     * and finishes the remaining units in-process. Without a listen
-     * address no host can arrive, so the last lost worker hands over
-     * at once.
-     */
-    double fleet_grace_s = 30.0;
     /**
      * Dispatch attempts per unit before it is declared poison and
      * retired (its cell fails, the fleet survives). Minimum 1.

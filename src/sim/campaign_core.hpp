@@ -3,7 +3,7 @@
  * The campaign mechanics every execution path shares.
  *
  * Three drivers run campaigns: the in-process runner (a thread pool),
- * the fleet dispatcher (work units to worker processes and agents)
+ * the fleet dispatcher (work units to forked worker processes)
  * and the fleet worker (one unit at a time). They differ only in who
  * evaluates a shard task; everything else lives here, once:
  *

@@ -25,8 +25,6 @@ struct ChaosState
     /** Remaining unit-targeted kills; <0 means unlimited (poison). */
     std::atomic<int> exit_unit_left{0};
     std::atomic<bool> stalled{false};
-    /** Wire lines sent by this process so far (0-based index next). */
-    std::atomic<std::int64_t> wire_lines{0};
     bool active = false;
 };
 
@@ -116,18 +114,6 @@ parseChaosSpec(const std::string& text)
             spec.fleet_stall_after = value.value();
         } else if (key == "fleet_stall_unit") {
             spec.fleet_stall_unit = value.value();
-        } else if (key == "net_drop") {
-            spec.net_drop = value.value();
-        } else if (key == "net_dup") {
-            spec.net_dup = value.value();
-        } else if (key == "net_trunc") {
-            spec.net_trunc = value.value();
-        } else if (key == "net_garble") {
-            spec.net_garble = value.value();
-        } else if (key == "net_delay") {
-            spec.net_delay = value.value();
-        } else if (key == "net_delay_ms") {
-            spec.net_delay_ms = value.value();
         } else {
             return Status::invalidArgument("unknown chaos key '" + key +
                                            "'");
@@ -150,7 +136,6 @@ setChaosSpec(const ChaosSpec& spec)
         spec.fleet_exit_unit >= 0 ? spec.fleet_exit_unit_count : 0,
         std::memory_order_relaxed);
     s.stalled.store(false, std::memory_order_relaxed);
-    s.wire_lines.store(0, std::memory_order_relaxed);
     s.active = true;
 }
 
@@ -283,35 +268,6 @@ chaosStalled()
 {
     return chaosActive() &&
            state().stalled.load(std::memory_order_relaxed);
-}
-
-WireLineFault
-chaosOnWireLine()
-{
-    WireLineFault fault;
-    if (!chaosActive())
-        return fault;
-    ChaosState& s = state();
-    const ChaosSpec& spec = s.spec;
-    if (spec.net_drop < 0 && spec.net_dup < 0 && spec.net_trunc < 0 &&
-        spec.net_garble < 0 && spec.net_delay < 0)
-        return fault;
-    const std::int64_t line =
-        s.wire_lines.fetch_add(1, std::memory_order_relaxed);
-    fault.drop = line == spec.net_drop;
-    fault.duplicate = line == spec.net_dup;
-    fault.truncate = line == spec.net_trunc;
-    fault.garble = line == spec.net_garble;
-    if (line == spec.net_delay) {
-        fault.delay_ms = static_cast<int>(std::clamp<std::int64_t>(
-            spec.net_delay_ms, 0, 60 * 1000));
-    }
-    if (fault.drop || fault.duplicate || fault.truncate ||
-        fault.garble || fault.delay_ms > 0) {
-        warn("chaos: wire fault armed for line " +
-             std::to_string(line));
-    }
-    return fault;
 }
 
 Status

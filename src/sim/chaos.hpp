@@ -20,8 +20,8 @@
  *   fleet_exit_worker=W fleet worker index W self-kills (_exit) ...
  *   fleet_exit_after=N  ... when it starts its (N+1)-th work unit
  *                       (default 0: dies on its first unit)
- *   fleet_exit_unit=U   any worker/agent self-kills when it starts
- *                       work unit U ...
+ *   fleet_exit_unit=U   any worker self-kills when it starts work
+ *                       unit U ...
  *   fleet_exit_unit_count=N
  *                       ... for the first N starts in this process
  *                       (default 1: the requeue lands elsewhere;
@@ -31,20 +31,10 @@
  *                       like fleet_exit_worker/after, but the worker
  *                       hangs forever (heartbeats stop) instead of
  *                       dying — the silent-host scenario
- *   fleet_stall_unit=U  any worker/agent hangs when it starts unit U
- *   net_drop=G          drop the G-th wire line this process sends
- *   net_dup=G           send the G-th wire line twice
- *   net_trunc=G         send only the first half of the G-th line
- *                       (no terminator: the receiver's framing breaks)
- *   net_garble=G        flip bits in the G-th line's payload
- *   net_delay=G         sleep net_delay_ms (default 100) before
- *                       sending the G-th line
+ *   fleet_stall_unit=U  any worker hangs when it starts unit U
  *
  * All triggers count events, never wall-clock or randomness, so a
- * chaos scenario reproduces exactly. The net_* counters count wire
- * lines sent by *this process* through the chaos-aware socket write
- * path (0-based), so a scenario is armed on the side whose traffic
- * it should corrupt.
+ * chaos scenario reproduces exactly.
  */
 
 #ifndef GPUECC_SIM_CHAOS_HPP
@@ -83,18 +73,6 @@ struct ChaosSpec
     std::int64_t fleet_stall_after = 0;
     /** Work unit whose start hangs its host; -1 = never. */
     std::int64_t fleet_stall_unit = -1;
-    /** Wire-line index (per process, 0-based) to drop; -1 = never. */
-    std::int64_t net_drop = -1;
-    /** Wire-line index to send twice; -1 = never. */
-    std::int64_t net_dup = -1;
-    /** Wire-line index to truncate to its first half; -1 = never. */
-    std::int64_t net_trunc = -1;
-    /** Wire-line index whose payload bits get flipped; -1 = never. */
-    std::int64_t net_garble = -1;
-    /** Wire-line index to delay before sending; -1 = never. */
-    std::int64_t net_delay = -1;
-    /** Delay applied at the net_delay trigger (milliseconds). */
-    std::int64_t net_delay_ms = 100;
 };
 
 /** The exception an armed task_fault raises inside a shard task. */
@@ -158,36 +136,18 @@ constexpr int kChaosFleetExitCode = 77;
  * An armed stall trigger (fleet_stall_worker/after, fleet_stall_unit)
  * instead parks the calling thread forever after raising the stalled
  * flag (chaosStalled), simulating a hung-but-alive host whose
- * heartbeats go silent. Forked workers and agents inherit the
- * parent's armed spec, so tests arm it in-process before forking.
+ * heartbeats go silent. Forked workers inherit the parent's armed
+ * spec, so tests arm it in-process before forking.
  */
 void chaosOnFleetUnitStart(int worker, std::uint64_t unit,
                            std::uint64_t units_completed);
 
 /**
  * Whether a stall trigger has fired in this process. Heartbeat
- * threads poll it so a chaos-stalled host goes silent on the wire,
+ * threads poll it so a chaos-stalled host goes silent on its pipe,
  * not just idle.
  */
 bool chaosStalled();
-
-/** What chaosOnWireLine asks the sender to do with one line. */
-struct WireLineFault
-{
-    bool drop = false;      //!< do not send the line at all
-    bool duplicate = false; //!< send the line twice
-    bool truncate = false;  //!< send only the first half, no '\n'
-    bool garble = false;    //!< flip bits in the payload bytes
-    int delay_ms = 0;       //!< sleep this long before sending
-};
-
-/**
- * Network chaos hook: called by the socket wire-write path once per
- * line, counting lines sent by this process. Returns the fault (if
- * any) armed for this line index. The default-constructed result
- * means "send faithfully".
- */
-WireLineFault chaosOnWireLine();
 
 } // namespace gpuecc::sim
 

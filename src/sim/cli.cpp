@@ -1,7 +1,6 @@
 #include "sim/cli.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hpp"
 #include "obs/trace.hpp"
@@ -25,32 +24,19 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
                 "unsupported)");
     cli.addFlag("fleet-workers", "0",
                 "fork this many local worker processes and dispatch "
-                "shard work units to them over pipes (0 = in-process "
-                "unless --fleet-listen; tallies and CSV are "
-                "bit-identical either way)");
+                "shard work units to them over pipes (0 = in-process; "
+                "tallies and CSV are bit-identical either way)");
     cli.addFlag("fleet-unit", "4",
                 "shard tasks per fleet work unit (dispatch "
                 "granularity; larger amortizes round-trips, smaller "
                 "rebalances and re-queues faster)");
-    cli.addFlag("fleet-listen", "",
-                "also serve this campaign to remote fleet_agent "
-                "processes on host:port (\":0\" picks a free port); "
-                "agents and any --fleet-workers share the work; "
-                "tallies and CSV stay bit-identical");
-    cli.addFlag("fleet-secret", "",
-                "shared secret authenticating fleet agents (falls "
-                "back to $GPUECC_FLEET_SECRET; both sides must "
-                "agree, including on the empty default)");
     cli.addFlag("fleet-worker-timeout", "0",
                 "seconds a dispatched work unit may stay in flight "
-                "before its host is presumed hung and the unit is "
+                "before its worker is presumed hung and the unit is "
                 "re-queued (0 = no deadline)");
     cli.addFlag("fleet-heartbeat-timeout", "10",
-                "seconds of silence before a fleet host is presumed "
-                "dead (local workers beat at a quarter of this)");
-    cli.addFlag("fleet-grace", "30",
-                "seconds with no live host before a --fleet-listen "
-                "campaign finishes in-process");
+                "seconds of silence before a fleet worker is presumed "
+                "dead (workers beat at a quarter of this)");
     cli.addFlag("fleet-max-unit-attempts", "3",
                 "dispatch attempts before a work unit is declared "
                 "poisonous and its (scheme, pattern) cell failed");
@@ -59,12 +45,12 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
                 "campaign on host:port (\":0\" picks a free port): "
                 "Prometheus text at /metrics, campaign status JSON at "
                 "/status; safe to curl mid-run, never perturbs "
-                "determinism (needs a fleet mode)");
+                "determinism (needs --fleet-workers)");
     cli.addFlag("journal", "",
                 "append every fleet lifecycle event (connect, "
                 "dispatch, result, requeue, poison, fallback, drain) "
                 "to this NDJSON file, written through with fsync; "
-                "replay it with fleet_journal (needs fleet mode)");
+                "replay it with fleet_journal (needs --fleet-workers)");
     cli.addFlag("json", "", "write campaign results to this JSON file");
     cli.addFlag("csv", "", "write campaign results to this CSV file");
     cli.addFlag("checkpoint", "",
@@ -102,17 +88,10 @@ campaignSpecFromCli(const Cli& cli)
         static_cast<int>(cli.getInt("fleet-workers"));
     spec.fleet_unit_shards =
         static_cast<std::uint64_t>(cli.getInt("fleet-unit"));
-    spec.fleet_listen = cli.getString("fleet-listen");
-    spec.fleet_secret = cli.getString("fleet-secret");
-    if (spec.fleet_secret.empty()) {
-        if (const char* env = std::getenv("GPUECC_FLEET_SECRET"))
-            spec.fleet_secret = env;
-    }
     spec.fleet_worker_timeout_s =
         cli.getDuration("fleet-worker-timeout", false);
     spec.fleet_heartbeat_timeout_s =
         cli.getDuration("fleet-heartbeat-timeout", true);
-    spec.fleet_grace_s = cli.getDuration("fleet-grace", false);
     spec.fleet_max_unit_attempts =
         static_cast<int>(cli.getInt("fleet-max-unit-attempts"));
     spec.obs_listen = cli.getString("obs-listen");
@@ -132,10 +111,9 @@ campaignSpecFromCli(const Cli& cli)
     if (spec.fleet_max_unit_attempts < 1)
         fatal("--fleet-max-unit-attempts must be >= 1");
     if ((!spec.obs_listen.empty() || !spec.journal_path.empty()) &&
-        spec.fleet_listen.empty() && spec.fleet_workers == 0)
-        fatal("--obs-listen and --journal need a fleet mode "
-              "(--fleet-workers or --fleet-listen); both observe the "
-              "fleet dispatcher");
+        spec.fleet_workers == 0)
+        fatal("--obs-listen and --journal need --fleet-workers; both "
+              "observe the fleet dispatcher");
     if (spec.resume && spec.checkpoint_path.empty())
         fatal("--resume needs --checkpoint to name the file");
     if (cli.getBool("quiet"))

@@ -231,8 +231,6 @@ writeFleetWorkerRecord(JsonWriter& w, const obs::FleetWorkerRecord& r)
     w.kv("busy_seconds", r.busy_seconds);
     w.kv("exit_code", r.exit_code);
     w.kv("lost", r.lost);
-    w.kv("remote", r.remote);
-    w.kv("agent", r.agent);
     w.kv("label", r.label);
 }
 

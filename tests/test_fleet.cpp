@@ -237,6 +237,91 @@ TEST(FleetProtocol, GarbageLinesAreStructuredErrors)
                      .ok());
 }
 
+TEST(NetProtocol, ChaosSpecParsesNetworkAndFleetUnitKeys)
+{
+    const auto parsed = sim::parseChaosSpec(
+        "fleet_exit_unit=9,fleet_exit_unit_count=-1,"
+        "fleet_stall_unit=11,fleet_stall_worker=0,fleet_stall_after=2");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    const sim::ChaosSpec& c = parsed.value();
+    EXPECT_EQ(c.fleet_exit_unit, 9);
+    EXPECT_EQ(c.fleet_exit_unit_count, -1);
+    EXPECT_EQ(c.fleet_stall_unit, 11);
+    EXPECT_EQ(c.fleet_stall_worker, 0);
+    EXPECT_EQ(c.fleet_stall_after, 2);
+
+    // The network fault keys went with the TCP transport: they are
+    // unknown keys now, refused like any other typo.
+    const auto net = sim::parseChaosSpec("net_garble=3");
+    ASSERT_FALSE(net.ok());
+    EXPECT_EQ(net.status().code(), ErrorCode::invalidArgument);
+    EXPECT_NE(net.status().message().find("unknown chaos key 'net_garble'"),
+              std::string::npos)
+        << net.status().toString();
+}
+
+TEST(NetProtocol, TruncatedLinesNeverDecode)
+{
+    sim::fleet::WorkerMessage msg;
+    msg.kind = sim::fleet::WorkerMessage::Kind::result;
+    msg.unit = 3;
+    msg.worker = 1;
+    sim::CheckpointEntry entry;
+    entry.task = 12;
+    entry.counts.trials = 100;
+    msg.checkpoint.done.push_back(entry);
+    const std::string line = sim::fleet::encodeResultLine(msg);
+    // Every cut that loses payload bytes (not just the newline) must
+    // decode to a structured error, not a crash or a partial message.
+    for (std::size_t cut = 0; cut + 1 < line.size(); ++cut) {
+        EXPECT_FALSE(
+            sim::fleet::decodeWorkerLine(line.substr(0, cut)).ok())
+            << "cut at " << cut;
+    }
+}
+
+TEST(NetProtocol, DecodersSurviveDeterministicGarbage)
+{
+    std::uint64_t state = 0x9E3779B97F4A7C15ull;
+    const auto next = [&state]() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (int round = 0; round < 500; ++round) {
+        std::string line;
+        const std::size_t len = next() % 120;
+        for (std::size_t i = 0; i < len; ++i)
+            line.push_back(static_cast<char>(next() & 0xFF));
+        // None of these may crash; structured failure (or, for pure
+        // luck, success) are both acceptable outcomes.
+        (void)sim::fleet::decodeConfigLine(line);
+        (void)sim::fleet::decodeWorkerLine(line);
+        (void)sim::fleet::decodeServerLine(line);
+    }
+}
+
+TEST(Wire, OversizedLineIsDataLossAndPoisonsTheStream)
+{
+    if (!subprocessSupported())
+        GTEST_SKIP() << "fork/pipe unavailable";
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::pipe(fds), 0);
+    const std::string oversized(200, 'a');
+    ASSERT_TRUE(writeAllFd(fds[1], oversized + "\nok\n").ok());
+    closeFd(fds[1]);
+
+    LineReader reader(fds[0], 64);
+    const auto first = reader.readLine();
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().code(), ErrorCode::dataLoss);
+    // Framing is unrecoverable past an oversized line: the stream
+    // stays poisoned even though a well-formed line follows.
+    EXPECT_FALSE(reader.readLine().ok());
+    closeFd(fds[0]);
+}
+
 TEST(FleetWorker, ConfigOfAnOlderSamplerIsRefusedAtSetup)
 {
     // A parent of an older sampler version sends its own fingerprint:
@@ -436,6 +521,37 @@ TEST(Fleet, HungWorkerTripsTheUnitDeadline)
     expectCellsIdentical(reference, fleet);
 }
 
+TEST(Fleet, SilentWorkerTripsHeartbeatExpiry)
+{
+    sim::CampaignSpec spec = smallSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    // Worker 1 hangs on its first unit with its heartbeats silenced —
+    // the silent-host scenario. With no unit deadline, only the
+    // heartbeat budget can catch it; a tight one keeps the drill fast.
+    sim::ChaosSpec chaos;
+    chaos.fleet_stall_worker = 1;
+    chaos.fleet_stall_after = 0;
+    sim::setChaosSpec(chaos);
+    spec.fleet_workers = 2;
+    spec.fleet_heartbeat_timeout_s = 1.0;
+    spec.fleet_worker_timeout_s = 0.0;
+    const sim::CampaignResult fleet =
+        sim::CampaignRunner(spec).run();
+    sim::clearChaosSpec();
+
+    EXPECT_GE(fleet.fleet.heartbeat_expiries, 1u);
+    EXPECT_GE(fleet.fleet.requeues, 1u);
+    EXPECT_EQ(fleet.fleet.workers_lost, 1u);
+    EXPECT_EQ(fleet.fleet.worker_timeouts, 0u);
+    ASSERT_EQ(fleet.fleet.worker_records.size(), 2u);
+    EXPECT_FALSE(fleet.fleet.worker_records[0].lost);
+    EXPECT_TRUE(fleet.fleet.worker_records[1].lost);
+    EXPECT_TRUE(fleet.errors.empty());
+    expectCellsIdentical(reference, fleet);
+}
+
 TEST(Fleet, WorkerShardRetriesAreCountedPerHost)
 {
     sim::CampaignSpec spec = smallSpec();
@@ -519,6 +635,60 @@ TEST(FleetDispatch, IdleWaitWakesOnRequeueAndLastSettlement)
     dispatch.finalize();
 }
 
+TEST(FleetDispatch, UnitErrorForAnotherUnitIsRefused)
+{
+    sim::CampaignSpec spec = smallSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    spec.fleet_workers = 1;
+    auto created = sim::fleet::FleetDispatch::create(spec);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    sim::fleet::FleetDispatch& dispatch = *created.value();
+    dispatch.start();
+    dispatch.registerHost(0, "local-0");
+    std::uint64_t u = 0;
+    ASSERT_TRUE(dispatch.waitClaim(u, {}));
+    const sim::fleet::DispatchStatus before = dispatch.status();
+
+    // A unit_error is only ever about the unit in flight: one naming
+    // a unit far outside the plan, or another unit of it, is refused
+    // before it can fail a cell or settle anything.
+    WorkerMessage rogue;
+    rogue.kind = WorkerMessage::Kind::unit_error;
+    rogue.worker = 0;
+    rogue.unit = std::uint64_t{1} << 40;
+    rogue.message = "not my unit";
+    const Status refused = dispatch.validateUnitError(rogue, u);
+    EXPECT_EQ(refused.code(), ErrorCode::dataLoss);
+    rogue.unit = u + 1;
+    EXPECT_FALSE(dispatch.validateUnitError(rogue, u).ok());
+    rogue.unit = u;
+    EXPECT_TRUE(dispatch.validateUnitError(rogue, u).ok());
+
+    const sim::fleet::DispatchStatus after = dispatch.status();
+    EXPECT_EQ(after.units_settled, before.units_settled);
+    EXPECT_EQ(after.units_in_flight, before.units_in_flight);
+    EXPECT_EQ(after.queue_depth, before.queue_depth);
+    EXPECT_EQ(after.shards_done, before.shards_done);
+    EXPECT_EQ(after.fleet.requeues, 0u);
+
+    // The liaison's invalid-line path: requeue the unit in flight and
+    // retire the host. The campaign then finishes without the refused
+    // line ever failing a cell.
+    dispatch.requeueUnit(u, refused.toString());
+    dispatch.closeHost(0, 0, true);
+    dispatch.noteWorkerLost();
+    dispatch.finishInProcess();
+    const sim::CampaignResult r = dispatch.finalize();
+    EXPECT_EQ(r.fleet.requeues, 1u);
+    EXPECT_EQ(r.fleet.workers_lost, 1u);
+    ASSERT_EQ(r.fleet.worker_records.size(), 1u);
+    EXPECT_TRUE(r.fleet.worker_records[0].lost);
+    EXPECT_TRUE(r.errors.empty());
+    expectCellsIdentical(reference, r);
+}
+
 TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)
 {
     const std::string path = tempPath("gpuecc_fleet_resume_ck.json");
@@ -540,6 +710,14 @@ TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)
     sim::clearChaosSpec();
     clearInterrupt(); // the simulated SIGTERM latches until cleared
     ASSERT_TRUE(interrupted.interrupted);
+    // The drain is graceful: every worker got a shutdown line and
+    // exited cleanly, none was retired as lost.
+    ASSERT_EQ(interrupted.fleet.worker_records.size(), 2u);
+    for (const obs::FleetWorkerRecord& w :
+         interrupted.fleet.worker_records) {
+        EXPECT_FALSE(w.lost) << w.label;
+        EXPECT_EQ(w.exit_code, 0) << w.label;
+    }
 
     // ...then resume it in fleet mode and demand bit-identity.
     spec.resume = true;

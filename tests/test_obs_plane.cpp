@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -29,7 +28,6 @@
 #include "fleet/dispatch.hpp"
 #include "fleet/journal.hpp"
 #include "fleet/protocol.hpp"
-#include "net/agent.hpp"
 #include "net/obs_http.hpp"
 #include "net/service.hpp"
 #include "net/socket.hpp"
@@ -52,6 +50,36 @@ bool
 netTestsSupported()
 {
     return net::socketsSupported() && subprocessSupported();
+}
+
+// ---- Address parsing ---------------------------------------------------
+
+TEST(SocketAddress, ParsesHostPortForms)
+{
+    auto a = net::parseSocketAddress("127.0.0.1:7077");
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(a.value().host, "127.0.0.1");
+    EXPECT_EQ(a.value().port, 7077);
+
+    auto any = net::parseSocketAddress("*:7077");
+    ASSERT_TRUE(any.ok());
+    EXPECT_TRUE(any.value().host.empty());
+    EXPECT_EQ(any.value().port, 7077);
+
+    auto ephemeral = net::parseSocketAddress(":0");
+    ASSERT_TRUE(ephemeral.ok());
+    EXPECT_TRUE(ephemeral.value().host.empty());
+    EXPECT_EQ(ephemeral.value().port, 0);
+}
+
+TEST(SocketAddress, RejectsMalformedText)
+{
+    EXPECT_FALSE(net::parseSocketAddress("").ok());
+    EXPECT_FALSE(net::parseSocketAddress("noport").ok());
+    EXPECT_FALSE(net::parseSocketAddress("host:").ok());
+    EXPECT_FALSE(net::parseSocketAddress("host:abc").ok());
+    EXPECT_FALSE(net::parseSocketAddress("host:-1").ok());
+    EXPECT_FALSE(net::parseSocketAddress("host:65536").ok());
 }
 
 // ---- Prometheus exposition ---------------------------------------------
@@ -338,7 +366,7 @@ TEST(ObsPlane, DuplicateResultsDoNotDoubleCountHostMetrics)
     ASSERT_TRUE(created.ok()) << created.status().toString();
     sim::fleet::FleetDispatch& dispatch = *created.value();
     dispatch.start();
-    dispatch.registerHost(0, "alpha", true);
+    dispatch.registerHost(0, "alpha");
 
     std::uint64_t u = 0;
     ASSERT_TRUE(dispatch.waitClaim(u, {}));
@@ -397,16 +425,16 @@ TEST(ObsPlane, DuplicateResultsDoNotDoubleCountHostMetrics)
 
 TEST(ObsPlane, DottedHostLabelKeepsItsMetricsFamily)
 {
-    // Host labels are free-form — an agent's --name is often a
-    // hostname — so /metrics must carry a dotted label whole, under
-    // the host family, never split it into a family of its own.
+    // The exposition takes host labels as free-form strings, so
+    // /metrics must carry a dotted label whole, under the host
+    // family, never split it into a family of its own.
     sim::CampaignSpec spec = smallSpec();
     spec.fleet_workers = 1;
     auto created = sim::fleet::FleetDispatch::create(spec);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     sim::fleet::FleetDispatch& dispatch = *created.value();
     dispatch.start();
-    dispatch.registerHost(0, "node1.example", true);
+    dispatch.registerHost(0, "node1.example");
 
     std::uint64_t u = 0;
     ASSERT_TRUE(dispatch.waitClaim(u, {}));
@@ -474,178 +502,69 @@ httpGetPath(int port, const std::string& path)
                              "Connection: close\r\n\r\n");
 }
 
+/** What a forked scraper saw of a live campaign, and how it ended. */
+struct ScrapedFleetRun
+{
+    std::string status;  ///< the first /status document served
+    std::string metrics; ///< the /metrics scraped right after it
+    std::string nope;    ///< the answer to an unknown path
+    sim::CampaignResult result;
+};
+
 /**
- * Fork a fleet agent aimed at the local service (same discipline as
- * test_net: before run(), while the process is single-threaded).
+ * Run @p spec through a FleetService on its local workers with the
+ * obs endpoint on an ephemeral port, while a forked process scrapes
+ * it. The scraper is a process rather than a thread: run() forks the
+ * local workers and must do so while this process is still
+ * single-threaded. The endpoint answers only until the campaign
+ * drains, so every document the scraper reports was served mid-run:
+ * the first /status, then /metrics and an unknown path, each written
+ * back as one "== <path>" section.
  */
-ChildProcess
-forkAgent(int port, const std::string& secret,
-          const std::string& name, std::vector<int>& inherited)
+void
+runScrapedFleet(const sim::CampaignSpec& spec, ScrapedFleetRun& out)
 {
-    net::FleetAgentOptions options;
-    options.port = port;
-    options.secret = secret;
-    options.name = name;
-    options.heartbeat_interval_s = 0.2;
-    options.io_timeout_s = 20.0;
-    options.backoff_initial_s = 0.1;
-    options.backoff_max_s = 0.5;
-    options.max_reconnects = 50;
-    auto spawned = spawnChild(
-        [options](int, int) { return net::runFleetAgent(options); },
-        inherited);
-    EXPECT_TRUE(spawned.ok()) << spawned.status().toString();
-    if (!spawned.ok())
-        return {};
-    inherited.push_back(spawned.value().to_child);
-    inherited.push_back(spawned.value().from_child);
-    return spawned.value();
-}
-
-TEST(ObsPlane, ServiceCampaignServesLiveEndpointsAndStaysIdentical)
-{
-    if (!netTestsSupported())
-        GTEST_SKIP() << "sockets/fork unavailable";
-    const sim::CampaignResult reference =
-        sim::CampaignRunner(smallSpec()).run();
-
-    sim::CampaignSpec spec = smallSpec();
-    spec.fleet_listen = "127.0.0.1:0";
-    spec.fleet_secret = "test-secret";
-    spec.fleet_grace_s = 60.0;
-    spec.obs_listen = "127.0.0.1:0";
-    const std::string journal_path =
-        tempPath("obs_service_journal.ndjson");
-    spec.journal_path = journal_path;
-
     auto service = net::FleetService::create(spec);
     ASSERT_TRUE(service.ok()) << service.status().toString();
     const int obs_port = service.value()->obsPort();
     ASSERT_GT(obs_port, 0);
 
-    std::vector<int> inherited;
-    ChildProcess alpha = forkAgent(service.value()->port(),
-                                   spec.fleet_secret, "alpha",
-                                   inherited);
-    ChildProcess beta = forkAgent(service.value()->port(),
-                                  spec.fleet_secret, "beta",
-                                  inherited);
-
-    // Scrape both endpoints (and poke the error paths) from a second
-    // thread for the whole campaign: the run must neither block nor
-    // change results under observation.
-    std::atomic<bool> done{false};
-    std::string last_metrics;
-    std::string last_status;
-    std::thread scraper([&] {
-        while (!done.load()) {
-            const std::string metrics =
-                httpGetPath(obs_port, "/metrics");
-            if (metrics.find("200 OK") != std::string::npos)
-                last_metrics = metrics;
-            const std::string status =
-                httpGetPath(obs_port, "/status");
-            if (status.find("200 OK") != std::string::npos)
-                last_status = status;
-            httpGetPath(obs_port, "/nope");
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-    });
-
-    const auto result = service.value()->run();
-    done.store(true);
-    scraper.join();
-    ASSERT_TRUE(result.ok()) << result.status().toString();
-    waitForExit(alpha.pid);
-    waitForExit(beta.pid);
-    const sim::CampaignResult& r = result.value();
-
-    EXPECT_TRUE(r.errors.empty());
-    expectCellsIdentical(reference, r);
-    EXPECT_EQ(sim::campaignCsv(reference), sim::campaignCsv(r));
-
-    // One more scrape after the drain still answers (the endpoint
-    // stops only at finalize); check the final document's shape.
-    EXPECT_NE(last_metrics.find("gpuecc_fleet_units_total"),
-              std::string::npos);
-    EXPECT_NE(last_status.find("\"units\""), std::string::npos);
-    EXPECT_NE(last_status.find("\"hosts\""), std::string::npos);
-
-    // Host-labelled metrics from remote agents sum to the total.
-    EXPECT_EQ(hostUnitsTotal(r.metrics), r.fleet.units);
-
-    // The journal replays to the dispatcher's settlement counts with
-    // both agents present as hosts.
-    auto text = sim::loadTextFile(journal_path);
-    ASSERT_TRUE(text.ok()) << text.status().toString();
-    auto events = sim::fleet::parseJournal(text.value());
-    ASSERT_TRUE(events.ok()) << events.status().toString();
-    const sim::fleet::JournalSummary summary =
-        sim::fleet::summarizeJournal(events.value());
-    EXPECT_EQ(summary.unitsSettled(), r.fleet.units);
-    EXPECT_GE(summary.connects, 2u);
-    EXPECT_TRUE(summary.drained);
-    bool saw_alpha = false;
-    bool saw_beta = false;
-    for (const sim::fleet::JournalHostSummary& h : summary.hosts) {
-        saw_alpha = saw_alpha || h.host == "alpha";
-        saw_beta = saw_beta || h.host == "beta";
-    }
-    EXPECT_TRUE(saw_alpha);
-    EXPECT_TRUE(saw_beta);
-    std::remove(journal_path.c_str());
-}
-
-TEST(ObsPlane, PipeFleetServesLiveStatusMidRun)
-{
-    if (!netTestsSupported())
-        GTEST_SKIP() << "sockets/fork unavailable";
-    const sim::CampaignResult reference =
-        sim::CampaignRunner(smallSpec()).run();
-
-    // Local workers only: the same driver serves the endpoint without
-    // a fleet listen address.
-    sim::CampaignSpec spec = smallSpec();
-    spec.fleet_workers = 2;
-    spec.obs_listen = "127.0.0.1:0";
-    auto service = net::FleetService::create(spec);
-    ASSERT_TRUE(service.ok()) << service.status().toString();
-    const int obs_port = service.value()->obsPort();
-    ASSERT_GT(obs_port, 0);
-
-    // Scrape from a forked process rather than a thread: run() forks
-    // the local workers and must do so while this process is still
-    // single-threaded. The scraper reports the first /status document
-    // served — one the endpoint can only serve mid-campaign.
     auto scraper = spawnChild(
         [obs_port](int, int write_fd) {
+            const auto get = [obs_port](const std::string& path) {
+                std::string response;
+                auto fd = net::connectTcp({"127.0.0.1", obs_port});
+                if (!fd.ok())
+                    return response;
+                writeAllFd(fd.value(),
+                           "GET " + path +
+                               " HTTP/1.1\r\nHost: test\r\n"
+                               "Connection: close\r\n\r\n",
+                           2000);
+                // Poll before every read: this process holds a copy
+                // of the endpoint's listening socket, so a connect
+                // after the campaign ends is never answered.
+                char buf[4096];
+                struct pollfd p = {fd.value(), POLLIN, 0};
+                while (::poll(&p, 1, 2000) > 0) {
+                    const ssize_t n = ::read(fd.value(), buf, sizeof buf);
+                    if (n <= 0)
+                        break;
+                    response.append(buf, static_cast<std::size_t>(n));
+                }
+                closeFd(fd.value());
+                return response;
+            };
             const auto until = std::chrono::steady_clock::now() +
                                std::chrono::seconds(30);
             while (std::chrono::steady_clock::now() < until) {
-                auto fd = net::connectTcp({"127.0.0.1", obs_port});
-                if (fd.ok()) {
-                    writeAllFd(fd.value(),
-                               "GET /status HTTP/1.1\r\nHost: test\r\n"
-                               "Connection: close\r\n\r\n",
-                               2000);
-                    // Poll before every read: this process holds a copy
-                    // of the endpoint's listening socket, so a connect
-                    // after the campaign ends is never answered.
-                    std::string response;
-                    char buf[4096];
-                    struct pollfd p = {fd.value(), POLLIN, 0};
-                    while (::poll(&p, 1, 2000) > 0) {
-                        const ssize_t n = ::read(fd.value(), buf, sizeof buf);
-                        if (n <= 0)
-                            break;
-                        response.append(buf, static_cast<std::size_t>(n));
-                    }
-                    closeFd(fd.value());
-                    if (response.find("200 OK") != std::string::npos) {
-                        writeAllFd(write_fd, response + "\n");
-                        return 0;
-                    }
+                const std::string status = get("/status");
+                if (status.find("200 OK") != std::string::npos) {
+                    writeAllFd(write_fd,
+                               "== /status\n" + status + "\n== /metrics\n" +
+                                   get("/metrics") + "\n== /nope\n" +
+                                   get("/nope") + "\n");
+                    return 0;
                 }
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(5));
@@ -657,20 +576,98 @@ TEST(ObsPlane, PipeFleetServesLiveStatusMidRun)
 
     const auto result = service.value()->run();
     ASSERT_TRUE(result.ok()) << result.status().toString();
-    std::string status;
+    out.result = result.value();
+    std::string scraped;
     LineReader from_scraper(scraper.value().from_child);
     for (auto line = from_scraper.readLine(); line.ok();
          line = from_scraper.readLine())
-        status += line.value() + "\n";
+        scraped += line.value() + "\n";
     EXPECT_EQ(waitForExit(scraper.value().pid).value(), 0);
     closeFd(scraper.value().to_child);
     closeFd(scraper.value().from_child);
 
-    EXPECT_NE(status.find("\"units\""), std::string::npos) << status;
-    EXPECT_NE(status.find("local-0"), std::string::npos) << status;
-    EXPECT_NE(status.find("local-1"), std::string::npos) << status;
+    const std::size_t metrics_at = scraped.find("== /metrics\n");
+    const std::size_t nope_at = scraped.find("== /nope\n");
+    ASSERT_NE(metrics_at, std::string::npos) << scraped;
+    ASSERT_NE(nope_at, std::string::npos) << scraped;
+    out.status = scraped.substr(0, metrics_at);
+    out.metrics = scraped.substr(metrics_at, nope_at - metrics_at);
+    out.nope = scraped.substr(nope_at);
+}
 
-    const sim::CampaignResult& r = result.value();
+TEST(ObsPlane, ServiceCampaignServesLiveEndpointsAndStaysIdentical)
+{
+    if (!netTestsSupported())
+        GTEST_SKIP() << "sockets/fork unavailable";
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(smallSpec()).run();
+
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 2;
+    spec.obs_listen = "127.0.0.1:0";
+    const std::string journal_path =
+        tempPath("obs_service_journal.ndjson");
+    std::remove(journal_path.c_str());
+    spec.journal_path = journal_path;
+    ScrapedFleetRun run;
+    ASSERT_NO_FATAL_FAILURE(runScrapedFleet(spec, run));
+
+    EXPECT_NE(run.metrics.find("200 OK"), std::string::npos) << run.metrics;
+    EXPECT_NE(run.metrics.find("gpuecc_fleet_units_total"),
+              std::string::npos)
+        << run.metrics;
+    EXPECT_NE(run.nope.find("404"), std::string::npos) << run.nope;
+
+    const sim::CampaignResult& r = run.result;
+    EXPECT_TRUE(r.errors.empty());
+    expectCellsIdentical(reference, r);
+    // Observation never leaks into the deterministic artifacts.
+    EXPECT_EQ(sim::campaignCsv(reference), sim::campaignCsv(r));
+
+    // Host-labelled metrics sum to the total.
+    EXPECT_EQ(hostUnitsTotal(r.metrics), r.fleet.units);
+
+    // The journal replays to the dispatcher's settlement counts with
+    // both local workers present as hosts.
+    auto text = sim::loadTextFile(journal_path);
+    ASSERT_TRUE(text.ok()) << text.status().toString();
+    auto events = sim::fleet::parseJournal(text.value());
+    ASSERT_TRUE(events.ok()) << events.status().toString();
+    const sim::fleet::JournalSummary summary =
+        sim::fleet::summarizeJournal(events.value());
+    EXPECT_EQ(summary.unitsSettled(), r.fleet.units);
+    EXPECT_EQ(summary.connects, 2u);
+    EXPECT_TRUE(summary.drained);
+    bool saw_local0 = false;
+    bool saw_local1 = false;
+    for (const sim::fleet::JournalHostSummary& h : summary.hosts) {
+        saw_local0 = saw_local0 || h.host == "local-0";
+        saw_local1 = saw_local1 || h.host == "local-1";
+    }
+    EXPECT_TRUE(saw_local0);
+    EXPECT_TRUE(saw_local1);
+    std::remove(journal_path.c_str());
+}
+
+TEST(ObsPlane, PipeFleetServesLiveStatusMidRun)
+{
+    if (!netTestsSupported())
+        GTEST_SKIP() << "sockets/fork unavailable";
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(smallSpec()).run();
+
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 2;
+    spec.obs_listen = "127.0.0.1:0";
+    ScrapedFleetRun run;
+    ASSERT_NO_FATAL_FAILURE(runScrapedFleet(spec, run));
+
+    EXPECT_NE(run.status.find("\"units\""), std::string::npos) << run.status;
+    EXPECT_NE(run.status.find("\"hosts\""), std::string::npos) << run.status;
+    EXPECT_NE(run.status.find("local-0"), std::string::npos) << run.status;
+    EXPECT_NE(run.status.find("local-1"), std::string::npos) << run.status;
+
+    const sim::CampaignResult& r = run.result;
     EXPECT_TRUE(r.errors.empty());
     EXPECT_EQ(r.fleet.workers, 2);
     expectCellsIdentical(reference, r);
