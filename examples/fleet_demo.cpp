@@ -137,7 +137,7 @@ main(int argc, char** argv)
     const obs::FleetTelemetry& fleet = result.fleet;
     std::printf("== Fleet execution ==\n"
                 "%d workers completed %llu units (%llu shards, %llu "
-                "trials) in %.2f s; %llu requeued, %d workers lost\n",
+                "trials) in %.2f s; %llu requeued, %llu workers lost\n",
                 fleet.workers,
                 static_cast<unsigned long long>(fleet.units),
                 static_cast<unsigned long long>(
@@ -145,11 +145,11 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(result.totalTrials()),
                 result.seconds,
                 static_cast<unsigned long long>(fleet.requeues),
-                fleet.workers_lost);
+                static_cast<unsigned long long>(fleet.workers_lost));
     for (const obs::FleetWorkerRecord& w : fleet.worker_records) {
-        std::printf("  worker %d (pid %d): %llu units, %llu shards, "
+        std::printf("  worker %d (pid %lld): %llu units, %llu shards, "
                     "%.2f s busy%s\n",
-                    w.worker, w.pid,
+                    w.worker, static_cast<long long>(w.pid),
                     static_cast<unsigned long long>(w.units),
                     static_cast<unsigned long long>(w.shards),
                     w.busy_seconds, w.lost ? "  LOST" : "");

@@ -8,6 +8,7 @@
 
 #include "common/interrupt.hpp"
 #include "common/log.hpp"
+#include "fleet/worker.hpp"
 #include "obs/exposition.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
@@ -18,27 +19,15 @@ namespace gpuecc::sim::fleet {
 
 namespace {
 
-/** Ids of the fleet.* registry metrics, registered once per process. */
-struct FleetMetricIds
-{
-    obs::MetricId units_completed;
-    /** High-water queue depth (gauges merge by maximum). */
-    obs::MetricId queue_depth;
-};
-
-const FleetMetricIds&
-fleetMetricIds()
+/** Id of the fleet.units_completed counter, registered once. */
+obs::MetricId
+unitsCompletedMetric()
 {
     // Register before the liaison threads exist — the same
     // register-before-spawn contract the campaign metrics follow.
-    static const FleetMetricIds ids = [] {
-        obs::MetricsRegistry& m = obs::metrics();
-        FleetMetricIds out;
-        out.units_completed = m.counter("fleet.units_completed");
-        out.queue_depth = m.gauge("fleet.queue_depth");
-        return out;
-    }();
-    return ids;
+    static const obs::MetricId id =
+        obs::metrics().counter("fleet.units_completed");
+    return id;
 }
 
 /** Add @p value to the counter @p name in @p counters. */
@@ -60,7 +49,7 @@ struct FleetDispatch::Impl
 {
     CampaignSpec spec;
     std::unique_ptr<CampaignCore> core;
-    /** The plan's fingerprint: the config line's plan-identity proof. */
+    /** The plan's fingerprint, which every worker result must carry. */
     std::string fingerprint;
     std::vector<WorkUnit> units;
     std::uint64_t initial_pending = 0;
@@ -77,25 +66,11 @@ struct FleetDispatch::Impl
     /** Plan facts, the fault counters and the fallback's shards. */
     obs::FleetTelemetry telemetry;
 
-    /**
-     * One ledger row per host, plus what replaying its spans needs.
-     * Guarded by state_mutex.
-     */
+    /** One ledger row per host, plus its shipped spans. */
     struct HostSlot
     {
         obs::FleetWorkerRecord row;
-        /** Shipped spans, timestamps in the host's config clock. */
         std::vector<SpanRecord> spans;
-        std::chrono::steady_clock::time_point config_sent_at;
-        std::uint64_t config_sent_trace_us = 0;
-        /**
-         * Best (minimum) observed "parent µs since config send minus
-         * host µs since config receipt" — converges on the one-way
-         * config delivery latency through the pipe, the correction the
-         * host's span timestamps need.
-         */
-        bool has_offset = false;
-        std::int64_t min_offset_us = 0;
     };
     std::vector<HostSlot> hosts; // state_mutex
 
@@ -140,9 +115,6 @@ struct FleetDispatch::Impl
         while (!queue.empty()) {
             const std::uint64_t candidate = queue.front();
             queue.pop_front();
-            obs::metrics().setGauge(
-                fleetMetricIds().queue_depth,
-                static_cast<std::int64_t>(queue.size()));
             if (unit_settled[candidate] != 0)
                 continue; // a late result beat the requeue to it
             if (core->cellFailed(units[candidate].cell)) {
@@ -192,22 +164,6 @@ struct FleetDispatch::Impl
             return slot->row.label;
         return "worker-" + std::to_string(worker);
     }
-
-    /** Fold one now_us report into the offset; state_mutex held. */
-    void clockSampleLocked(HostSlot& slot, std::uint64_t now_us)
-    {
-        if (now_us == 0)
-            return;
-        const std::int64_t elapsed = static_cast<std::int64_t>(
-            microsBetween(slot.config_sent_at,
-                        std::chrono::steady_clock::now()));
-        const std::int64_t offset =
-            elapsed - static_cast<std::int64_t>(now_us);
-        if (!slot.has_offset || offset < slot.min_offset_us) {
-            slot.has_offset = true;
-            slot.min_offset_us = offset;
-        }
-    }
 };
 
 FleetDispatch::~FleetDispatch() = default;
@@ -226,7 +182,7 @@ FleetDispatch::create(const CampaignSpec& spec)
         impl->journal = std::move(journal).value();
     }
 
-    fleetMetricIds();
+    unitsCompletedMetric();
     impl->campaign_span = std::make_unique<obs::TraceSpan>(
         "fleet-campaign", "campaign");
 
@@ -317,20 +273,10 @@ FleetDispatch::initialPendingUnits() const
     return impl_->initial_pending;
 }
 
-FleetConfig
-FleetDispatch::configFor(int worker) const
+const CampaignPlan&
+FleetDispatch::plan() const
 {
-    const CampaignPlan& plan = impl_->plan();
-    FleetConfig config;
-    config.worker = worker;
-    config.scheme_ids = plan.ids;
-    config.patterns = plan.patterns;
-    config.samples = plan.samples;
-    config.seed = plan.seed;
-    config.chunk = plan.chunk;
-    config.fingerprint = impl_->fingerprint;
-    config.codec_backend = impl_->core->result().codec_backend;
-    return config;
+    return impl_->plan();
 }
 
 void
@@ -435,7 +381,7 @@ FleetDispatch::completeUnit(const WorkerMessage& msg,
             e.counts);
         unit_trials += e.counts.trials;
     }
-    obs::metrics().add(fleetMetricIds().units_completed);
+    obs::metrics().add(unitsCompletedMetric());
 
     // Host credit rides the same settled-exactly-once gate as the
     // tallies, so a duplicated delivery can never double-count a
@@ -523,35 +469,20 @@ FleetDispatch::finishInProcess()
         "fallback", {},
         {{"remaining",
           d.remaining.load(std::memory_order_acquire)}});
-    const CampaignPlan& plan = d.plan();
     ShardBatchArena arena;
     std::uint64_t u = 0;
     while (!interruptRequested() &&
            waitClaim(u, Clock::duration::zero())) {
-        const WorkUnit& unit = d.units[u];
-        const auto dispatch_at = std::chrono::steady_clock::now();
-        WorkerMessage msg;
-        msg.unit = unit.unit;
-        msg.worker = -1;
-        Status failure;
-        for (std::uint64_t i = unit.first_task;
-             i < unit.first_task + unit.task_count && failure.ok();
-             ++i) {
-            Result<OutcomeCounts> counts = plan.evaluateTask(i, arena);
-            if (counts.ok())
-                msg.checkpoint.done.push_back({i, counts.value()});
-            else
-                failure = counts.status();
-        }
-        const auto done_at = std::chrono::steady_clock::now();
-        msg.busy_us = microsBetween(dispatch_at, done_at);
-        if (!failure.ok()) {
-            failUnit(u, failure.message());
+        const auto dispatch_at = Clock::now();
+        const WorkerMessage msg =
+            evaluateUnit(d.plan(), d.units[u], -1, arena);
+        if (msg.kind == WorkerMessage::Kind::unit_error) {
+            failUnit(u, msg.message);
             continue;
         }
-        if (completeUnit(msg, dispatch_at, done_at)) {
+        if (completeUnit(msg, dispatch_at, Clock::now())) {
             std::lock_guard<std::mutex> lock(d.state_mutex);
-            d.telemetry.parent_fallback_shards += unit.task_count;
+            d.telemetry.parent_fallback_shards += d.units[u].task_count;
         }
     }
 }
@@ -590,8 +521,6 @@ FleetDispatch::registerHost(int worker, const std::string& label,
     slot.row.worker = worker;
     slot.row.label = label;
     slot.row.pid = pid;
-    slot.config_sent_at = std::chrono::steady_clock::now();
-    slot.config_sent_trace_us = obs::traceNowUs();
     d.hosts.push_back(std::move(slot));
     d.journalAppend("connect", {{"host", label}});
 }
@@ -631,7 +560,6 @@ FleetDispatch::absorbTelemetry(const WorkerMessage& msg)
         accumulate(slot->row.counters, name, value);
     slot->spans.insert(slot->spans.end(), msg.spans.begin(),
                        msg.spans.end());
-    d.clockSampleLocked(*slot, msg.now_us);
 }
 
 DispatchStatus
@@ -684,9 +612,8 @@ FleetDispatch::finalize()
         result.fleet.workers =
             static_cast<int>(result.fleet.worker_records.size());
 
-        // Replay each host's shipped spans onto its own trace track,
-        // rebased from "µs since config receipt" to the parent's
-        // trace clock via the minimum-latency offset.
+        // Replay each host's shipped spans onto its own trace track;
+        // a forked worker stamped them on the parent's trace clock.
         if (obs::traceEnabled()) {
             for (std::size_t i = 0; i < d.hosts.size(); ++i) {
                 const Impl::HostSlot& slot = d.hosts[i];
@@ -694,18 +621,10 @@ FleetDispatch::finalize()
                     continue;
                 const int tid = 2000 + static_cast<int>(i);
                 obs::setTrackName(tid, "host " + slot.row.label);
-                const std::int64_t base =
-                    static_cast<std::int64_t>(
-                        slot.config_sent_trace_us) +
-                    (slot.has_offset ? slot.min_offset_us : 0);
                 for (const SpanRecord& span : slot.spans) {
-                    std::int64_t ts =
-                        base + static_cast<std::int64_t>(span.ts_us);
-                    if (ts < 0)
-                        ts = 0;
                     obs::emitSpan(
-                        span.name, span.cat.c_str(),
-                        static_cast<std::uint64_t>(ts), span.dur_us,
+                        span.name, span.cat.c_str(), span.ts_us,
+                        span.dur_us,
                         "\"unit\":" + std::to_string(span.unit), tid);
                 }
             }

@@ -7,7 +7,7 @@
  * shared campaign plan (sim/campaign_core.hpp), the unit queue,
  * unit-granular resume, requeue/poison accounting, per-host credit
  * and telemetry, and result finalization. The fleet service
- * (net/service.cpp) runs one liaison loop per forked local worker
+ * (fleet/service.cpp) runs one liaison loop per forked local worker
  * over this surface: claim a unit, round-trip it to the worker, then
  * settle it exactly once via completeUnit / failUnit / requeueUnit.
  *
@@ -48,6 +48,10 @@
 #include "common/status.hpp"
 #include "fleet/protocol.hpp"
 #include "sim/campaign.hpp"
+
+namespace gpuecc::sim {
+struct CampaignPlan;
+} // namespace gpuecc::sim
 
 namespace gpuecc::sim::fleet {
 
@@ -127,8 +131,8 @@ class FleetDispatch
     const WorkUnit& unit(std::uint64_t u) const;
     /** Units not settled by resume restore at create() time. */
     std::uint64_t initialPendingUnits() const;
-    /** The config line payload for one worker. */
-    FleetConfig configFor(int worker) const;
+    /** The campaign plan — what a forked worker inherits. */
+    const CampaignPlan& plan() const;
     ///@}
 
     /**
@@ -215,13 +219,9 @@ class FleetDispatch
 
     /**
      * Add a ledger row for a host — a forked local worker (@p pid its
-     * process id) or the in-process fallback (worker -1). Call at
-     * config-send time: the instant is captured on both the steady
-     * and trace clocks and becomes the reference every span timestamp
-     * the host later ships is rebased against (a worker's clock reads
-     * "µs since it received the config"). Journals the connect. A
-     * local worker that could not be forked is registered too, then
-     * closed as lost.
+     * process id) or the in-process fallback (worker -1) — and journal
+     * the connect. A local worker that could not be forked is
+     * registered too, then closed as lost.
      */
     void registerHost(int worker, const std::string& label,
                       std::int64_t pid = 0);
@@ -238,14 +238,13 @@ class FleetDispatch
     void noteUnitDispatched(std::uint64_t u, int worker);
 
     /**
-     * Merge one telemetry or heartbeat line from a host: shipped
-     * counter deltas accumulate on the host's row (surfaced at
-     * finalize as fleet.host.<label>.<name> series), completed spans
-     * queue for replay onto the host's trace track, and now_us (0 = no
-     * sample) tightens the minimum-latency clock offset used to rebase
-     * them. Hosts ship telemetry *before* the result it accompanies,
-     * so absorbing is always safe pre-settlement and never
-     * double-counts: the counters are deltas, shipped once.
+     * Merge one telemetry line from a host: shipped counter deltas
+     * accumulate on the host's row (surfaced at finalize as
+     * fleet.host.<label>.<name> series), and completed spans queue for
+     * replay onto the host's trace track. Hosts ship telemetry
+     * *before* the result it accompanies, so absorbing is always safe
+     * pre-settlement and never double-counts: the counters are
+     * deltas, shipped once.
      */
     void absorbTelemetry(const WorkerMessage& msg);
 

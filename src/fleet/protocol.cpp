@@ -52,98 +52,6 @@ parseLine(const std::string& line, const std::string& expect_type)
 } // namespace
 
 std::string
-encodeConfigLine(const FleetConfig& config)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.kv("type", "config");
-    w.kv("worker", config.worker);
-    w.key("schemes").beginArray();
-    for (const std::string& id : config.scheme_ids)
-        w.value(id);
-    w.endArray();
-    w.key("patterns").beginArray();
-    for (ErrorPattern p : config.patterns)
-        w.value(static_cast<std::uint64_t>(p));
-    w.endArray();
-    w.kv("samples", config.samples);
-    w.kv("seed", config.seed);
-    w.kv("chunk", config.chunk);
-    w.kv("fingerprint", config.fingerprint);
-    w.kv("codec_backend", config.codec_backend);
-    w.endObject();
-    return w.str() + "\n";
-}
-
-Result<FleetConfig>
-decodeConfigLine(const std::string& line)
-{
-    Result<JsonValue> doc = parseLine(line, "config");
-    if (!doc.ok())
-        return doc.status();
-    const JsonValue& root = doc.value();
-
-    FleetConfig out;
-    Result<std::uint64_t> worker = getUint(root, "worker");
-    if (!worker.ok())
-        return worker.status();
-    out.worker = static_cast<int>(worker.value());
-
-    Result<const JsonValue*> schemes = root.get("schemes");
-    if (!schemes.ok())
-        return schemes.status();
-    if (!schemes.value()->isArray())
-        return Status::dataLoss("fleet config: schemes not an array");
-    for (const JsonValue& id : schemes.value()->elements()) {
-        Result<std::string> s = id.asString();
-        if (!s.ok())
-            return s.status();
-        out.scheme_ids.push_back(s.value());
-    }
-
-    Result<const JsonValue*> patterns = root.get("patterns");
-    if (!patterns.ok())
-        return patterns.status();
-    if (!patterns.value()->isArray())
-        return Status::dataLoss("fleet config: patterns not an array");
-    const std::size_t pattern_count = allErrorPatterns().size();
-    for (const JsonValue& p : patterns.value()->elements()) {
-        Result<std::uint64_t> v = p.asUint64();
-        if (!v.ok())
-            return v.status();
-        if (v.value() >= pattern_count) {
-            return Status::dataLoss(
-                "fleet config: pattern id " +
-                std::to_string(v.value()) + " out of range");
-        }
-        out.patterns.push_back(static_cast<ErrorPattern>(v.value()));
-    }
-
-    Result<std::uint64_t> samples = getUint(root, "samples");
-    Result<std::uint64_t> seed = getUint(root, "seed");
-    Result<std::uint64_t> chunk = getUint(root, "chunk");
-    if (!samples.ok())
-        return samples.status();
-    if (!seed.ok())
-        return seed.status();
-    if (!chunk.ok())
-        return chunk.status();
-    out.samples = samples.value();
-    out.seed = seed.value();
-    out.chunk = chunk.value();
-
-    Result<std::string> fingerprint = getString(root, "fingerprint");
-    Result<std::string> backend = getString(root, "codec_backend");
-    if (!fingerprint.ok())
-        return fingerprint.status();
-    if (!backend.ok())
-        return backend.status();
-    out.fingerprint = fingerprint.value();
-    out.codec_backend = backend.value();
-    return out;
-}
-
-std::string
 encodeUnitLine(const WorkUnit& unit)
 {
     JsonWriter w;
@@ -198,14 +106,12 @@ encodeWorkerErrorLine(int worker, const std::string& message)
 }
 
 std::string
-encodeHeartbeatLine(int worker, std::uint64_t now_us)
+encodeHeartbeatLine(int worker)
 {
     JsonWriter w;
     w.beginObject();
     w.kv("type", "heartbeat");
     w.kv("worker", worker);
-    if (now_us != 0)
-        w.kv("now_us", now_us);
     w.endObject();
     return w.str() + "\n";
 }
@@ -217,7 +123,6 @@ encodeTelemetryLine(const WorkerMessage& telemetry)
     w.beginObject();
     w.kv("type", "telemetry");
     w.kv("worker", telemetry.worker);
-    w.kv("now_us", telemetry.now_us);
     w.key("counters").beginArray();
     for (const auto& counter : telemetry.counters) {
         w.beginObject();
@@ -344,22 +249,10 @@ decodeWorkerLine(const std::string& line)
     }
     if (type == "heartbeat") {
         out.kind = WorkerMessage::Kind::heartbeat;
-        // Optional worker clock sample (absent when it reads 0).
-        if (root.get("now_us").ok()) {
-            Result<std::uint64_t> now = getUint(root, "now_us");
-            if (!now.ok())
-                return now.status();
-            out.now_us = now.value();
-        }
         return out;
     }
     if (type == "telemetry") {
         out.kind = WorkerMessage::Kind::telemetry;
-        Result<std::uint64_t> now = getUint(root, "now_us");
-        if (!now.ok())
-            return now.status();
-        out.now_us = now.value();
-
         Result<const JsonValue*> counters = root.get("counters");
         if (!counters.ok())
             return counters.status();

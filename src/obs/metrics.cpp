@@ -11,39 +11,32 @@ namespace gpuecc::obs {
 
 namespace {
 
-/** Metric kind, packed into the low bits of a MetricId. */
+/** Metric kind, packed into the low bit of a MetricId. */
 enum Kind : std::size_t
 {
     kCounter = 0,
-    kGauge = 1,
-    kHistogram = 2,
+    kHistogram = 1,
 };
 
 constexpr MetricId
 packId(Kind kind, std::size_t index)
 {
-    return (index << 2) | static_cast<std::size_t>(kind);
+    return (index << 1) | static_cast<std::size_t>(kind);
 }
 
 constexpr Kind
 kindOf(MetricId id)
 {
-    return static_cast<Kind>(id & 3);
+    return static_cast<Kind>(id & 1);
 }
 
 constexpr std::size_t
 indexOf(MetricId id)
 {
-    return id >> 2;
+    return id >> 1;
 }
 
 } // namespace
-
-struct GaugeState
-{
-    std::int64_t value = 0;
-    bool set = false;
-};
 
 /**
  * One thread's private, lock-free accumulation buffers.
@@ -62,14 +55,12 @@ struct alignas(kCacheLineBytes) Shard
     /** Registry epoch the buffers belong to; 0 = empty. */
     std::uint64_t epoch = 0;
     std::vector<std::uint64_t> counters;
-    std::vector<GaugeState> gauges;
     std::vector<std::vector<std::uint64_t>> histograms;
 
     void clear()
     {
         epoch = 0;
         counters.clear();
-        gauges.clear();
         histograms.clear();
     }
 };
@@ -82,13 +73,11 @@ struct MetricsRegistry::Impl
     // hot path reads it unlocked under the register-before-spawn
     // contract documented in the header.
     std::vector<std::string> counter_names;
-    std::vector<std::string> gauge_names;
     std::vector<std::string> histogram_names;
     std::vector<std::vector<std::uint64_t>> histogram_bounds;
 
     // Merged tallies of retired/flushed shards; guarded by mutex.
     std::vector<std::uint64_t> counters;
-    std::vector<GaugeState> gauges;
     std::vector<std::vector<std::uint64_t>> histograms;
 
     /** Bumped by resetValues() to invalidate live thread shards. */
@@ -101,16 +90,6 @@ struct MetricsRegistry::Impl
                 counters.resize(shard.counters.size(), 0);
             for (std::size_t i = 0; i < shard.counters.size(); ++i)
                 counters[i] += shard.counters[i];
-            if (gauges.size() < shard.gauges.size())
-                gauges.resize(shard.gauges.size());
-            for (std::size_t i = 0; i < shard.gauges.size(); ++i) {
-                const GaugeState& g = shard.gauges[i];
-                if (!g.set)
-                    continue;
-                if (!gauges[i].set || g.value > gauges[i].value)
-                    gauges[i] = g;
-                gauges[i].set = true;
-            }
             if (histograms.size() < shard.histograms.size())
                 histograms.resize(shard.histograms.size());
             for (std::size_t i = 0; i < shard.histograms.size();
@@ -191,16 +170,6 @@ MetricsSnapshot::findHistogram(const std::string& name) const
     return nullptr;
 }
 
-const GaugeValue*
-MetricsSnapshot::findGauge(const std::string& name) const
-{
-    for (const GaugeValue& g : gauges) {
-        if (g.name == name)
-            return &g;
-    }
-    return nullptr;
-}
-
 MetricsSnapshot
 MetricsSnapshot::since(const MetricsSnapshot& baseline) const
 {
@@ -242,19 +211,6 @@ MetricsRegistry::counter(const std::string& name)
 }
 
 MetricId
-MetricsRegistry::gauge(const std::string& name)
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mutex);
-    for (std::size_t i = 0; i < im.gauge_names.size(); ++i) {
-        if (im.gauge_names[i] == name)
-            return packId(kGauge, i);
-    }
-    im.gauge_names.push_back(name);
-    return packId(kGauge, im.gauge_names.size() - 1);
-}
-
-MetricId
 MetricsRegistry::histogram(const std::string& name,
                            std::vector<std::uint64_t> bounds)
 {
@@ -290,18 +246,6 @@ MetricsRegistry::add(MetricId counter_id, std::uint64_t delta)
     if (shard.counters.size() <= idx)
         shard.counters.resize(idx + 1, 0);
     shard.counters[idx] += delta;
-}
-
-void
-MetricsRegistry::setGauge(MetricId gauge_id, std::int64_t value)
-{
-    require(kindOf(gauge_id) == kGauge,
-            "metrics: setGauge() needs a gauge id");
-    Shard& shard = TlsShard::forThread(impl());
-    const std::size_t idx = indexOf(gauge_id);
-    if (shard.gauges.size() <= idx)
-        shard.gauges.resize(idx + 1);
-    shard.gauges[idx] = {value, true};
 }
 
 void
@@ -347,12 +291,6 @@ MetricsRegistry::snapshot()
             {im.counter_names[i],
              i < im.counters.size() ? im.counters[i] : 0});
     }
-    out.gauges.reserve(im.gauge_names.size());
-    for (std::size_t i = 0; i < im.gauge_names.size(); ++i) {
-        const GaugeState g =
-            i < im.gauges.size() ? im.gauges[i] : GaugeState{};
-        out.gauges.push_back({im.gauge_names[i], g.value, g.set});
-    }
     out.histograms.reserve(im.histogram_names.size());
     for (std::size_t i = 0; i < im.histogram_names.size(); ++i) {
         HistogramValue h;
@@ -376,7 +314,6 @@ MetricsRegistry::resetValues()
     Impl& im = impl();
     std::lock_guard<std::mutex> lock(im.mutex);
     im.counters.clear();
-    im.gauges.clear();
     im.histograms.clear();
     // Live shards notice the new epoch on their next access and
     // discard what they were holding.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign metrics registry: counters, gauges, fixed-bucket histograms.
+ * Campaign metrics registry: counters and fixed-bucket histograms.
  *
  * The hot path (a shard worker bumping a counter or recording a shard
  * duration) must never take a lock and must never perturb campaign
@@ -14,12 +14,12 @@
  * atomic on the hot path.
  *
  * Merging is plain 64-bit addition per counter and per histogram
- * bucket (gauges merge by maximum — a high-water mark), so the merged
- * totals are independent of which thread did which work and of merge
- * order: the same associativity argument the campaign tallies rest on.
+ * bucket, so the merged totals are independent of which thread did
+ * which work and of merge order: the same associativity argument the
+ * campaign tallies rest on.
  *
  * Metric registration is not thread-safe against concurrent hot-path
- * use: register every metric (counter()/gauge()/histogram()) before
+ * use: register every metric (counter()/histogram()) before
  * spawning the threads that will bump it, as the campaign runner does.
  */
 
@@ -40,15 +40,6 @@ struct CounterValue
 {
     std::string name;
     std::uint64_t value = 0;
-};
-
-/** One gauge's merged (maximum) value at snapshot time. */
-struct GaugeValue
-{
-    std::string name;
-    std::int64_t value = 0;
-    /** False until any thread has set the gauge. */
-    bool set = false;
 };
 
 /** One histogram's merged bucket counts at snapshot time. */
@@ -72,18 +63,16 @@ struct HistogramValue
 struct MetricsSnapshot
 {
     std::vector<CounterValue> counters;
-    std::vector<GaugeValue> gauges;
     std::vector<HistogramValue> histograms;
 
     /** Lookup by name; nullptr when absent. */
     const CounterValue* findCounter(const std::string& name) const;
     const HistogramValue* findHistogram(const std::string& name) const;
-    const GaugeValue* findGauge(const std::string& name) const;
 
     /**
      * The delta of this snapshot over an earlier baseline: counters
      * and histogram buckets subtract (metrics absent from the
-     * baseline pass through), gauges pass through unchanged. This is
+     * baseline pass through). This is
      * how a campaign reports only its own activity when several runs
      * share one process.
      */
@@ -100,9 +89,6 @@ class MetricsRegistry
      */
     MetricId counter(const std::string& name);
 
-    /** Register (or look up) a gauge by name. */
-    MetricId gauge(const std::string& name);
-
     /**
      * Register (or look up) a histogram with fixed inclusive upper
      * bucket bounds (strictly increasing, non-empty). Re-registering
@@ -113,9 +99,6 @@ class MetricsRegistry
 
     /** Hot path: bump a counter in this thread's shard (lock-free). */
     void add(MetricId counter_id, std::uint64_t delta = 1);
-
-    /** Hot path: set a gauge in this thread's shard (lock-free). */
-    void setGauge(MetricId gauge_id, std::int64_t value);
 
     /** Hot path: record one observation (lock-free). */
     void observe(MetricId histogram_id, std::uint64_t value);

@@ -6,7 +6,7 @@
 #include "common/interrupt.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
-#include "net/service.hpp"
+#include "fleet/service.hpp"
 #include "obs/trace.hpp"
 #include "sim/campaign_core.hpp"
 
@@ -116,7 +116,7 @@ CampaignRunner::tryRun() const
     // ordering, so hand over before the pool (or progress reporter)
     // exists.
     if (spec_.fleet_workers > 0)
-        return net::runFleetService(spec_);
+        return fleet::runFleetService(spec_);
 
     const obs::MetricId shard_micros = shardMicrosMetric();
     obs::MetricsRegistry& reg = obs::metrics();

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include "common/interrupt.hpp"
@@ -16,14 +18,16 @@
 #include "fleet/dispatch.hpp"
 #include "fleet/protocol.hpp"
 #include "fleet/worker.hpp"
+#include "obs/trace.hpp"
 #include "sim/campaign.hpp"
 #include "sim/campaign_core.hpp"
 #include "sim/chaos.hpp"
+#include "sim/json.hpp"
+#include "sim/report.hpp"
 
 namespace gpuecc {
 namespace {
 
-using sim::fleet::FleetConfig;
 using sim::fleet::WorkerMessage;
 using sim::fleet::WorkUnit;
 
@@ -122,36 +126,6 @@ smallSpec()
     return spec;
 }
 
-TEST(FleetProtocol, ConfigLineRoundTrips)
-{
-    FleetConfig cfg;
-    cfg.worker = 3;
-    cfg.scheme_ids = {"duet", "trio"};
-    cfg.patterns = {ErrorPattern::oneBit, ErrorPattern::wholeEntry};
-    cfg.samples = 123456;
-    cfg.seed = 0x5EED;
-    cfg.chunk = 4096;
-    cfg.fingerprint = "schemes=duet,trio;...";
-    cfg.codec_backend = "compiled";
-
-    const std::string line = sim::fleet::encodeConfigLine(cfg);
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.back(), '\n');
-    const auto decoded = sim::fleet::decodeConfigLine(line);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
-    const FleetConfig& d = decoded.value();
-    EXPECT_EQ(d.worker, cfg.worker);
-    EXPECT_EQ(d.scheme_ids, cfg.scheme_ids);
-    ASSERT_EQ(d.patterns.size(), cfg.patterns.size());
-    EXPECT_EQ(d.patterns[0], cfg.patterns[0]);
-    EXPECT_EQ(d.patterns[1], cfg.patterns[1]);
-    EXPECT_EQ(d.samples, cfg.samples);
-    EXPECT_EQ(d.seed, cfg.seed);
-    EXPECT_EQ(d.chunk, cfg.chunk);
-    EXPECT_EQ(d.fingerprint, cfg.fingerprint);
-    EXPECT_EQ(d.codec_backend, cfg.codec_backend);
-}
-
 TEST(FleetProtocol, UnitLineRoundTripsWithoutParentBookkeeping)
 {
     WorkUnit unit;
@@ -230,8 +204,8 @@ TEST(FleetProtocol, ErrorLinesRoundTrip)
 
 TEST(FleetProtocol, GarbageLinesAreStructuredErrors)
 {
-    EXPECT_FALSE(sim::fleet::decodeConfigLine("not json\n").ok());
-    EXPECT_FALSE(sim::fleet::decodeConfigLine("{}\n").ok());
+    EXPECT_FALSE(sim::fleet::decodeServerLine("not json\n").ok());
+    EXPECT_FALSE(sim::fleet::decodeServerLine("{}\n").ok());
     EXPECT_FALSE(sim::fleet::decodeServerLine("[1,2]\n").ok());
     EXPECT_FALSE(sim::fleet::decodeWorkerLine("{\"type\":\"bogus\"}\n")
                      .ok());
@@ -296,7 +270,6 @@ TEST(NetProtocol, DecodersSurviveDeterministicGarbage)
             line.push_back(static_cast<char>(next() & 0xFF));
         // None of these may crash; structured failure (or, for pure
         // luck, success) are both acceptable outcomes.
-        (void)sim::fleet::decodeConfigLine(line);
         (void)sim::fleet::decodeWorkerLine(line);
         (void)sim::fleet::decodeServerLine(line);
     }
@@ -322,62 +295,94 @@ TEST(Wire, OversizedLineIsDataLossAndPoisonsTheStream)
     closeFd(fds[0]);
 }
 
-TEST(FleetWorker, ConfigOfAnOlderSamplerIsRefusedAtSetup)
+TEST(FleetWorker, ServesUnitsFromItsInheritedPlan)
 {
-    // A parent of an older sampler version sends its own fingerprint:
-    // the same plan without the sampler term. The worker must answer
-    // worker_error and exit with the setup code before evaluating.
+    if (!subprocessSupported())
+        GTEST_SKIP() << "fork/pipe unavailable";
+    // The worker loop runs here, on the caller's plan, as a forked
+    // child runs on the plan it inherited.
     const sim::CampaignSpec spec = smallSpec();
     std::vector<sim::CampaignError> skipped;
-    const Result<sim::CampaignPlan> plan = sim::CampaignPlan::build(
+    const Result<sim::CampaignPlan> built = sim::CampaignPlan::build(
         spec.scheme_ids, spec.patterns, spec.samples, spec.seed, 1024,
         skipped);
-    ASSERT_TRUE(plan.ok()) << plan.status().toString();
-    const std::string ours = plan.value().fingerprint();
-    const std::string term = ";sampler=2";
-    const std::size_t at = ours.find(term);
-    ASSERT_NE(at, std::string::npos) << ours;
+    ASSERT_TRUE(built.ok()) << built.status().toString();
+    const sim::CampaignPlan& plan = built.value();
+    ASSERT_GE(plan.tasks.size(), 3u);
 
-    FleetConfig cfg;
-    cfg.worker = 1;
-    cfg.scheme_ids = spec.scheme_ids;
-    cfg.patterns = spec.patterns;
-    cfg.samples = spec.samples;
-    cfg.seed = spec.seed;
-    cfg.chunk = 1024;
-    cfg.fingerprint = std::string(ours).erase(at, term.size());
-    cfg.codec_backend = "compiled";
+    // Feed the worker @p lines, then EOF; collect its exit code and
+    // every line it wrote back.
+    const auto serve = [&plan](const std::string& lines, int& code) {
+        int to_worker[2];
+        int from_worker[2];
+        EXPECT_EQ(::pipe(to_worker), 0);
+        EXPECT_EQ(::pipe(from_worker), 0);
+        EXPECT_TRUE(writeAllFd(to_worker[1], lines).ok());
+        closeFd(to_worker[1]);
+        code = sim::fleet::fleetWorkerMain(plan, 1, to_worker[0],
+                                           from_worker[1], 60000);
+        closeFd(to_worker[0]);
+        closeFd(from_worker[1]);
+        std::vector<WorkerMessage> replies;
+        LineReader reader(from_worker[0]);
+        for (Result<std::string> line = reader.readLine(); line.ok();
+             line = reader.readLine()) {
+            const auto msg = sim::fleet::decodeWorkerLine(line.value());
+            EXPECT_TRUE(msg.ok()) << msg.status().toString();
+            if (msg.ok())
+                replies.push_back(msg.value());
+        }
+        closeFd(from_worker[0]);
+        return replies;
+    };
 
-    int to_worker[2];
-    int from_worker[2];
-    ASSERT_EQ(::pipe(to_worker), 0);
-    ASSERT_EQ(::pipe(from_worker), 0);
-    ASSERT_TRUE(
-        writeAllFd(to_worker[1], sim::fleet::encodeConfigLine(cfg)).ok());
-    closeFd(to_worker[1]);
-    EXPECT_EQ(sim::fleet::fleetWorkerMain(to_worker[0], from_worker[1],
-                                          60000),
-              sim::fleet::kWorkerSetupExit);
-    closeFd(to_worker[0]);
-    closeFd(from_worker[1]);
+    WorkUnit unit;
+    unit.unit = 5;
+    unit.first_task = 1;
+    unit.task_count = 2;
+    int code = -1;
+    std::vector<WorkerMessage> replies =
+        serve(sim::fleet::encodeUnitLine(unit) +
+                  sim::fleet::encodeShutdownLine(),
+              code);
+    EXPECT_EQ(code, 0);
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_EQ(replies[0].kind, WorkerMessage::Kind::telemetry);
+    EXPECT_EQ(replies[0].worker, 1);
+    const WorkerMessage& result = replies[1];
+    ASSERT_EQ(result.kind, WorkerMessage::Kind::result);
+    EXPECT_EQ(result.unit, 5u);
+    EXPECT_EQ(result.worker, 1);
+    EXPECT_EQ(result.checkpoint.fingerprint, plan.fingerprint());
+    ASSERT_EQ(result.checkpoint.done.size(), 2u);
+    ShardBatchArena arena;
+    for (std::size_t k = 0; k < 2; ++k) {
+        const sim::CheckpointEntry& got = result.checkpoint.done[k];
+        EXPECT_EQ(got.task, unit.first_task + k);
+        const Result<OutcomeCounts> want =
+            plan.evaluateTask(got.task, arena);
+        ASSERT_TRUE(want.ok()) << want.status().toString();
+        EXPECT_EQ(got.counts.trials, want.value().trials);
+        EXPECT_EQ(got.counts.dce, want.value().dce);
+        EXPECT_EQ(got.counts.due, want.value().due);
+        EXPECT_EQ(got.counts.sdc, want.value().sdc);
+        EXPECT_EQ(got.counts.exhaustive, want.value().exhaustive);
+    }
 
-    LineReader replies(from_worker[0]);
-    const Result<std::string> line = replies.readLine();
-    ASSERT_TRUE(line.ok()) << line.status().toString();
-    const auto reply = sim::fleet::decodeWorkerLine(line.value());
-    ASSERT_TRUE(reply.ok()) << reply.status().toString();
-    EXPECT_EQ(reply.value().kind, WorkerMessage::Kind::worker_error);
-    const std::string& message = reply.value().message;
-    EXPECT_EQ(message.rfind("plan fingerprint mismatch", 0), 0u)
-        << message;
-    EXPECT_NE(message.find("parent: " + cfg.fingerprint + "\n"),
-              std::string::npos)
-        << message;
-    EXPECT_NE(message.find("worker: " + ours), std::string::npos)
-        << message;
-    // That one line, then the end of the stream: no result followed.
-    EXPECT_EQ(replies.readLine().status().code(), ErrorCode::notFound);
-    closeFd(from_worker[0]);
+    // A unit outside the plan — past its end, or a range whose end
+    // wraps around — retires the worker before it evaluates anything.
+    for (const std::uint64_t first :
+         {static_cast<std::uint64_t>(plan.tasks.size()),
+          ~std::uint64_t{0}}) {
+        unit.first_task = first;
+        replies = serve(sim::fleet::encodeUnitLine(unit), code);
+        EXPECT_EQ(code, sim::fleet::kWorkerProtocolExit);
+        ASSERT_EQ(replies.size(), 1u);
+        EXPECT_EQ(replies[0].kind, WorkerMessage::Kind::worker_error);
+        EXPECT_NE(replies[0].message.find("outside the plan"),
+                  std::string::npos)
+            << replies[0].message;
+    }
 }
 
 TEST(Fleet, TalliesBitIdenticalToInProcess)
@@ -726,6 +731,138 @@ TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_GT(resumed.resumed_shards, 0u);
     expectCellsIdentical(reference, resumed);
+    std::remove(path.c_str());
+}
+
+TEST(Fleet, InterruptWithAHungWorkerStillDrains)
+{
+    if (!subprocessSupported())
+        GTEST_SKIP() << "fork/pipe unavailable";
+    const std::string path = tempPath("gpuecc_fleet_hung_drain_ck.json");
+    std::remove(path.c_str());
+
+    sim::CampaignSpec spec = smallSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    // Worker 1 hangs on its first unit with its heartbeats silenced,
+    // and the interrupt lands once worker 0 has settled 40 of the 92
+    // tasks — late enough that worker 1 surely holds a unit (the
+    // first units are tiny exhaustive ones), and long before the hung
+    // unit could settle. The drain must not wait on the hung worker:
+    // silent past the heartbeat budget, it is killed and reaped.
+    sim::ChaosSpec chaos;
+    chaos.fleet_stall_worker = 1;
+    chaos.fleet_stall_after = 0;
+    chaos.kill_after = 40;
+    sim::setChaosSpec(chaos);
+    spec.fleet_workers = 2;
+    spec.fleet_heartbeat_timeout_s = 2.0;
+    spec.checkpoint_path = path;
+    spec.checkpoint_interval_s = 0;
+    const auto start = std::chrono::steady_clock::now();
+    const sim::CampaignResult interrupted =
+        sim::CampaignRunner(spec).run();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    sim::clearChaosSpec();
+    clearInterrupt(); // the simulated SIGTERM latches until cleared
+    ASSERT_TRUE(interrupted.interrupted);
+    EXPECT_LT(seconds, 15.0);
+
+    ASSERT_EQ(interrupted.fleet.worker_records.size(), 2u);
+    const obs::FleetWorkerRecord& drained =
+        interrupted.fleet.worker_records[0];
+    const obs::FleetWorkerRecord& hung =
+        interrupted.fleet.worker_records[1];
+    EXPECT_FALSE(drained.lost);
+    EXPECT_EQ(drained.exit_code, 0);
+    EXPECT_TRUE(hung.lost);
+    EXPECT_EQ(hung.exit_code, 128 + SIGKILL);
+    EXPECT_GE(interrupted.fleet.heartbeat_expiries, 1u);
+    EXPECT_GE(interrupted.fleet.requeues, 1u);
+    ASSERT_GT(hung.pid, 0);
+    const int signalled = ::kill(static_cast<pid_t>(hung.pid), 0);
+    const int kill_errno = errno;
+    EXPECT_EQ(signalled, -1);
+    EXPECT_EQ(kill_errno, ESRCH) << "the hung worker was not reaped";
+
+    // An in-process run sized for the fleet's 2 x 4 unit slots cuts
+    // the same plan, so it resumes the fleet's checkpoint.
+    spec.fleet_workers = 0;
+    spec.threads = 8;
+    spec.resume = true;
+    const sim::CampaignResult resumed = sim::CampaignRunner(spec).run();
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_GT(resumed.resumed_shards, 0u);
+    expectCellsIdentical(reference, resumed);
+    std::remove(path.c_str());
+}
+
+TEST(Fleet, WorkerSpansLieInsideTheFleetEvaluateSpan)
+{
+    if (!subprocessSupported())
+        GTEST_SKIP() << "fork/pipe unavailable";
+    const std::string path = tempPath("gpuecc_fleet_trace.json");
+    std::remove(path.c_str());
+
+    // Forked workers stamp their unit spans on the trace clock they
+    // inherited, so the spans replayed onto the host tracks must fall
+    // inside the parent's evaluate-fleet span (1 ms slack).
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 2;
+    obs::startTrace(path);
+    const sim::CampaignResult r = sim::CampaignRunner(spec).run();
+    ASSERT_TRUE(obs::stopTraceAndWrite().ok());
+    ASSERT_TRUE(r.errors.empty());
+
+    const auto text = sim::loadTextFile(path);
+    ASSERT_TRUE(text.ok()) << text.status().toString();
+    const auto doc = sim::parseJson(text.value());
+    ASSERT_TRUE(doc.ok()) << doc.status().toString();
+    const sim::JsonValue* events = doc.value().find("traceEvents");
+    ASSERT_NE(events, nullptr);
+
+    const auto str = [](const sim::JsonValue& e, const char* key) {
+        const sim::JsonValue* v = e.find(key);
+        return v != nullptr && v->isString() ? v->asString().value()
+                                             : std::string();
+    };
+    const auto num = [](const sim::JsonValue& e, const char* key) {
+        const sim::JsonValue* v = e.find(key);
+        return v != nullptr ? v->asUint64().value() : std::uint64_t{0};
+    };
+    std::vector<std::uint64_t> host_tids;
+    std::uint64_t eval_begin = 0;
+    std::uint64_t eval_end = 0;
+    for (const sim::JsonValue& e : events->elements()) {
+        const sim::JsonValue* args = e.find("args");
+        if (str(e, "ph") == "M" && args != nullptr &&
+            str(*args, "name").rfind("host local-", 0) == 0)
+            host_tids.push_back(num(e, "tid"));
+        if (str(e, "ph") == "X" && str(e, "name") == "evaluate-fleet") {
+            eval_begin = num(e, "ts");
+            eval_end = eval_begin + num(e, "dur");
+        }
+    }
+    EXPECT_EQ(host_tids.size(), 2u);
+    ASSERT_GT(eval_end, 0u) << "no evaluate-fleet span";
+
+    constexpr std::uint64_t kSlackUs = 1000;
+    std::size_t checked = 0;
+    for (const sim::JsonValue& e : events->elements()) {
+        if (str(e, "ph") != "X" || str(e, "cat") != "fleet" ||
+            std::find(host_tids.begin(), host_tids.end(),
+                      num(e, "tid")) == host_tids.end())
+            continue;
+        const std::uint64_t begin = num(e, "ts");
+        const std::uint64_t end = begin + num(e, "dur");
+        EXPECT_GE(begin + kSlackUs, eval_begin) << str(e, "name");
+        EXPECT_LE(end, eval_end + kSlackUs) << str(e, "name");
+        ++checked;
+    }
+    EXPECT_EQ(checked, r.fleet.units);
     std::remove(path.c_str());
 }
 

@@ -97,13 +97,11 @@ TEST(Metrics, ShardMergeIsDeterministicAcrossThreadCounts)
 {
     obs::MetricsRegistry& reg = obs::metrics();
     const obs::MetricId c = reg.counter("test.merge_counter");
-    const obs::MetricId g = reg.gauge("test.merge_gauge");
     const obs::MetricId h = reg.histogram("test.merge_hist", {50});
 
     // The same work distributed over 1, 2, and 5 threads must merge
     // to identical totals: per-counter addition and per-bucket
-    // addition are associative and commutative, and gauges merge by
-    // max.
+    // addition are associative and commutative.
     std::vector<obs::MetricsSnapshot> runs;
     for (const int threads : {1, 2, 5}) {
         reg.resetValues();
@@ -111,11 +109,6 @@ TEST(Metrics, ShardMergeIsDeterministicAcrossThreadCounts)
             ThreadPool pool(threads);
             pool.parallelFor(100, [&](std::uint64_t i) {
                 reg.add(c, i);
-                // A gauge records the last value set per thread and
-                // merges by max across threads, so only one task
-                // sets it — the merged value is deterministic.
-                if (i == 99)
-                    reg.setGauge(g, 99);
                 reg.observe(h, i);
             });
         }
@@ -127,7 +120,6 @@ TEST(Metrics, ShardMergeIsDeterministicAcrossThreadCounts)
     for (const obs::MetricsSnapshot& snap : runs) {
         EXPECT_EQ(snap.findCounter("test.merge_counter")->value,
                   4950u);
-        EXPECT_EQ(snap.findGauge("test.merge_gauge")->value, 99);
         EXPECT_EQ(snap.findHistogram("test.merge_hist")->counts[0],
                   51u);
         EXPECT_EQ(snap.findHistogram("test.merge_hist")->counts[1],

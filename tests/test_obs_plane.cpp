@@ -28,8 +28,8 @@
 #include "fleet/dispatch.hpp"
 #include "fleet/journal.hpp"
 #include "fleet/protocol.hpp"
+#include "fleet/service.hpp"
 #include "net/obs_http.hpp"
-#include "net/service.hpp"
 #include "net/socket.hpp"
 #include "obs/exposition.hpp"
 #include "obs/journal.hpp"
@@ -376,7 +376,6 @@ TEST(ObsPlane, DuplicateResultsDoNotDoubleCountHostMetrics)
     telemetry.kind = sim::fleet::WorkerMessage::Kind::telemetry;
     telemetry.worker = 0;
     telemetry.unit = u;
-    telemetry.now_us = 500;
     telemetry.counters = {{"campaign.trials", 100}};
     dispatch.absorbTelemetry(telemetry);
 
@@ -524,7 +523,7 @@ struct ScrapedFleetRun
 void
 runScrapedFleet(const sim::CampaignSpec& spec, ScrapedFleetRun& out)
 {
-    auto service = net::FleetService::create(spec);
+    auto service = sim::fleet::FleetService::create(spec);
     ASSERT_TRUE(service.ok()) << service.status().toString();
     const int obs_port = service.value()->obsPort();
     ASSERT_GT(obs_port, 0);
