@@ -21,11 +21,11 @@ Cli::usageText(const std::string& program_desc) const
 {
     std::string out = program_desc + "\n\nflags:\n";
     for (const auto& [name, flag] : flags_) {
-        char line[256];
-        std::snprintf(line, sizeof(line), "  --%-20s %s (default: %s)\n",
-                      name.c_str(), flag.help.c_str(),
-                      flag.value.c_str());
-        out += line;
+        std::string padded = name;
+        if (padded.size() < 20)
+            padded.resize(20, ' ');
+        out += "  --" + padded + " " + flag.help + " (default: " +
+               flag.value + ")\n";
     }
     return out;
 }
@@ -161,7 +161,12 @@ bool
 Cli::getBool(const std::string& name) const
 {
     const std::string v = getString(name);
-    return v == "1" || v == "true" || v == "yes";
+    if (v == "true" || v == "1" || v == "yes")
+        return true;
+    if (v == "false" || v == "0" || v == "no")
+        return false;
+    fatal("--" + name + ": '" + v +
+          "' is not a boolean (true/1/yes or false/0/no)");
 }
 
 } // namespace gpuecc

@@ -89,7 +89,11 @@ class Cli
      */
     double getDuration(const std::string& name, bool positive) const;
 
-    /** Value of a declared flag as a boolean ("1"/"true" are true). */
+    /**
+     * Value of a declared flag as a boolean: true/1/yes (and the bare
+     * switch) are true, false/0/no are false; fatal on anything else,
+     * naming the flag and the value.
+     */
     bool getBool(const std::string& name) const;
 
     /** getInt with a structured error instead of fatal. */

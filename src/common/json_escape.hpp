@@ -1,7 +1,7 @@
 /**
  * @file
- * The one JSON string escaper: reports, wire lines, the event journal
- * and trace files all escape through it.
+ * The one JSON string escaper: reports, wire lines and trace files
+ * all escape through it.
  */
 
 #ifndef GPUECC_COMMON_JSON_ESCAPE_HPP

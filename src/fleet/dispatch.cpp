@@ -9,11 +9,8 @@
 #include "common/interrupt.hpp"
 #include "common/log.hpp"
 #include "fleet/worker.hpp"
-#include "obs/exposition.hpp"
-#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 #include "sim/campaign_core.hpp"
-#include "sim/report.hpp"
 
 namespace gpuecc::sim::fleet {
 
@@ -47,7 +44,6 @@ accumulate(std::vector<std::pair<std::string, std::uint64_t>>& counters,
 
 struct FleetDispatch::Impl
 {
-    CampaignSpec spec;
     std::unique_ptr<CampaignCore> core;
     /** The plan's fingerprint, which every worker result must carry. */
     std::string fingerprint;
@@ -74,9 +70,6 @@ struct FleetDispatch::Impl
     };
     std::vector<HostSlot> hosts; // state_mutex
 
-    /** The --journal event stream (null when not journaling). */
-    std::unique_ptr<obs::EventJournal> journal;
-
     std::unique_ptr<obs::TraceSpan> campaign_span;
     std::unique_ptr<obs::TraceSpan> evaluate_span;
 
@@ -96,8 +89,8 @@ struct FleetDispatch::Impl
 
     /**
      * Retire an unsettled unit through a failure path — no trials
-     * ran, but its shards are disposed of, so the progress line and
-     * /status reach 100% even when a cell fails. State_mutex held.
+     * ran, but its shards are disposed of, so the progress line
+     * reaches 100% even when a cell fails. State_mutex held.
      */
     void disposeLocked(std::uint64_t u, const std::string* failure)
     {
@@ -121,7 +114,6 @@ struct FleetDispatch::Impl
                 // Its cell already failed: settle it silently (the
                 // checkpoint just never lists its tasks).
                 disposeLocked(candidate, nullptr);
-                journalAppend("skip", {}, {{"unit", candidate}});
                 continue;
             }
             u = candidate;
@@ -138,15 +130,6 @@ struct FleetDispatch::Impl
         return cell.scheme_id + "/" + patternInfo(cell.pattern).label;
     }
 
-    /** Append to the journal if one is open (any thread, any locks). */
-    void journalAppend(const std::string& event,
-                       const obs::EventJournal::Fields& fields = {},
-                       const obs::EventJournal::Nums& nums = {})
-    {
-        if (journal)
-            journal->append(event, fields, nums);
-    }
-
     /** The slot registered for @p worker; state_mutex held. */
     HostSlot* slotForLocked(int worker)
     {
@@ -154,15 +137,6 @@ struct FleetDispatch::Impl
             if (slot.row.worker == worker)
                 return &slot;
         return nullptr;
-    }
-
-    /** Host label for journal events; state_mutex held. */
-    std::string hostLabelLocked(int worker)
-    {
-        const HostSlot* slot = slotForLocked(worker);
-        if (slot != nullptr)
-            return slot->row.label;
-        return "worker-" + std::to_string(worker);
     }
 };
 
@@ -172,15 +146,7 @@ Result<std::unique_ptr<FleetDispatch>>
 FleetDispatch::create(const CampaignSpec& spec)
 {
     auto impl = std::make_unique<Impl>();
-    impl->spec = spec;
     impl->max_attempts = std::max(1, spec.fleet_max_unit_attempts);
-
-    if (!spec.journal_path.empty()) {
-        auto journal = obs::EventJournal::open(spec.journal_path);
-        if (!journal.ok())
-            return journal.status();
-        impl->journal = std::move(journal).value();
-    }
 
     unitsCompletedMetric();
     impl->campaign_span = std::make_unique<obs::TraceSpan>(
@@ -286,12 +252,6 @@ FleetDispatch::start()
     d.core->start();
     d.evaluate_span =
         std::make_unique<obs::TraceSpan>("evaluate-fleet", "campaign");
-    d.journalAppend(
-        "start", {},
-        {{"units", d.units.size()},
-         {"pending", d.initial_pending},
-         {"resumed", d.units.size() - d.initial_pending},
-         {"shards", d.plan().tasks.size()}});
 }
 
 bool
@@ -371,7 +331,6 @@ FleetDispatch::completeUnit(const WorkerMessage& msg,
         // Idempotent delivery: a host presumed dead (or a duplicated
         // wire line) re-delivered a settled unit — discard, count.
         ++d.telemetry.duplicate_results;
-        d.journalAppend("duplicate", {}, {{"unit", u}});
         return false;
     }
 
@@ -393,11 +352,6 @@ FleetDispatch::completeUnit(const WorkerMessage& msg,
         row.trials += unit_trials;
         row.busy_seconds += static_cast<double>(msg.busy_us) * 1e-6;
     }
-    d.journalAppend("result", {{"host", d.hostLabelLocked(msg.worker)}},
-                    {{"unit", u},
-                     {"shards", unit.task_count},
-                     {"trials", unit_trials},
-                     {"busy_us", msg.busy_us}});
 
     // Host-side busy time, parent-side wall span.
     d.core->complete(msg.checkpoint.done, msg.busy_us, dispatch_at,
@@ -413,8 +367,6 @@ FleetDispatch::failUnit(std::uint64_t u, const std::string& message)
     std::lock_guard<std::mutex> lock(d.state_mutex);
     if (d.unit_settled[u] != 0)
         return;
-    d.journalAppend("unit_error", {{"error", message.substr(0, 200)}},
-                    {{"unit", u}});
     d.disposeLocked(u, &message);
 }
 
@@ -439,20 +391,12 @@ FleetDispatch::requeueUnit(std::uint64_t u, const std::string& why)
             " failed dispatch attempts; last: " + why;
         warn("fleet: " + message);
         ++d.telemetry.units_poisoned;
-        d.journalAppend(
-            "poison", {},
-            {{"unit", u},
-             {"attempts", static_cast<std::uint64_t>(attempts)}});
         d.disposeLocked(u, &message);
         return;
     }
     d.queue.push_back(u);
     d.wake.notify_all();
     ++d.telemetry.requeues;
-    d.journalAppend(
-        "requeue", {},
-        {{"unit", u},
-         {"attempts", static_cast<std::uint64_t>(attempts)}});
 }
 
 void
@@ -465,10 +409,6 @@ FleetDispatch::finishInProcess()
          std::to_string(d.remaining.load(std::memory_order_acquire)) +
          " units pending; finishing in-process");
     registerHost(-1, "parent");
-    d.journalAppend(
-        "fallback", {},
-        {{"remaining",
-          d.remaining.load(std::memory_order_acquire)}});
     ShardBatchArena arena;
     std::uint64_t u = 0;
     while (!interruptRequested() &&
@@ -492,7 +432,6 @@ FleetDispatch::noteWorkerLost()
 {
     std::lock_guard<std::mutex> lock(impl_->state_mutex);
     ++impl_->telemetry.workers_lost;
-    impl_->journalAppend("host_lost");
 }
 
 void
@@ -500,7 +439,6 @@ FleetDispatch::noteWorkerTimeout()
 {
     std::lock_guard<std::mutex> lock(impl_->state_mutex);
     ++impl_->telemetry.worker_timeouts;
-    impl_->journalAppend("timeout");
 }
 
 void
@@ -508,7 +446,6 @@ FleetDispatch::noteHeartbeatExpiry()
 {
     std::lock_guard<std::mutex> lock(impl_->state_mutex);
     ++impl_->telemetry.heartbeat_expiries;
-    impl_->journalAppend("expiry");
 }
 
 void
@@ -522,7 +459,6 @@ FleetDispatch::registerHost(int worker, const std::string& label,
     slot.row.label = label;
     slot.row.pid = pid;
     d.hosts.push_back(std::move(slot));
-    d.journalAppend("connect", {{"host", label}});
 }
 
 void
@@ -534,18 +470,6 @@ FleetDispatch::closeHost(int worker, int exit_code, bool lost)
         slot->row.exit_code = exit_code;
         slot->row.lost = lost;
     }
-}
-
-void
-FleetDispatch::noteUnitDispatched(std::uint64_t u, int worker)
-{
-    Impl& d = *impl_;
-    if (!d.journal)
-        return;
-    std::lock_guard<std::mutex> lock(d.state_mutex);
-    d.journalAppend("dispatch",
-                    {{"host", d.hostLabelLocked(worker)}},
-                    {{"unit", u}});
 }
 
 void
@@ -562,35 +486,6 @@ FleetDispatch::absorbTelemetry(const WorkerMessage& msg)
                        msg.spans.end());
 }
 
-DispatchStatus
-FleetDispatch::status() const
-{
-    Impl& d = *impl_;
-    DispatchStatus s;
-    s.units_total = d.units.size();
-    s.units_resumed = d.units.size() - d.initial_pending;
-    s.shards_total = d.plan().tasks.size();
-    s.shards_done = d.core->shardsDone();
-    s.trials_done = d.core->trialsDone();
-    s.elapsed_seconds = d.core->elapsedSeconds();
-    std::lock_guard<std::mutex> lock(d.state_mutex);
-    const std::uint64_t pending =
-        d.remaining.load(std::memory_order_acquire);
-    const std::uint64_t live = d.initial_pending - pending;
-    s.units_settled = s.units_resumed + live;
-    s.fleet = d.telemetry;
-    s.queue_depth = d.queue.size();
-    s.units_in_flight =
-        pending > s.queue_depth ? pending - s.queue_depth : 0;
-    if (s.elapsed_seconds > 0.0 && live > 0) {
-        s.units_per_second = static_cast<double>(live) / s.elapsed_seconds;
-        s.eta_seconds = static_cast<double>(pending) / s.units_per_second;
-    }
-    for (const Impl::HostSlot& slot : d.hosts)
-        s.hosts.push_back(slot.row);
-    return s;
-}
-
 CampaignResult
 FleetDispatch::finalize()
 {
@@ -601,13 +496,24 @@ FleetDispatch::finalize()
     {
         std::lock_guard<std::mutex> lock(d.state_mutex);
         // timing.fleet: the fault counters, and every row but the
-        // in-process fallback's as the per-host audit trail.
+        // in-process fallback's as the per-host audit trail. The
+        // fault counters also join the campaign counters, followed by
+        // each row's series fleet.host.<label>.<name>: its units,
+        // shards and trials, then the counters it shipped.
         result.fleet = d.telemetry;
-        std::vector<obs::FleetWorkerRecord> rows;
+        std::vector<obs::CounterValue>& counters = result.metrics.counters;
+        for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
+            counters.push_back({c.metric, d.telemetry.*c.field});
         for (const Impl::HostSlot& slot : d.hosts) {
-            rows.push_back(slot.row);
-            if (slot.row.worker >= 0)
-                result.fleet.worker_records.push_back(slot.row);
+            const obs::FleetWorkerRecord& row = slot.row;
+            if (row.worker >= 0)
+                result.fleet.worker_records.push_back(row);
+            const std::string prefix = "fleet.host." + row.label + ".";
+            counters.push_back({prefix + "units", row.units});
+            counters.push_back({prefix + "shards", row.shards});
+            counters.push_back({prefix + "trials", row.trials});
+            for (const auto& [name, value] : row.counters)
+                counters.push_back({prefix + name, value});
         }
         result.fleet.workers =
             static_cast<int>(result.fleet.worker_records.size());
@@ -629,97 +535,10 @@ FleetDispatch::finalize()
                 }
             }
         }
-
-        // The fault counters and the host series join the campaign
-        // counters, rendered from the same ledger as /metrics.
-        for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
-            result.metrics.counters.push_back(
-                {c.metric, result.fleet.*c.field});
-        for (const HostSample& h : hostSeries(rows))
-            result.metrics.counters.push_back(
-                {"fleet.host." + h.label + "." + h.name, h.value});
     }
-
-    d.journalAppend(
-        "drain", {},
-        {{"settled",
-          d.units.size() - d.remaining.load(std::memory_order_acquire)},
-         {"interrupted",
-          std::uint64_t{result.interrupted ? 1u : 0u}}});
 
     d.campaign_span.reset();
     return result;
-}
-
-std::vector<HostSample>
-hostSeries(const std::vector<obs::FleetWorkerRecord>& hosts)
-{
-    std::vector<HostSample> out;
-    for (const obs::FleetWorkerRecord& m : hosts) {
-        out.push_back({m.label, "units", m.units});
-        out.push_back({m.label, "shards", m.shards});
-        out.push_back({m.label, "trials", m.trials});
-        for (const auto& [name, value] : m.counters)
-            out.push_back({m.label, name, value});
-    }
-    return out;
-}
-
-std::string
-statusJson(const DispatchStatus& s)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("units").beginObject();
-    w.kv("total", s.units_total);
-    w.kv("settled", s.units_settled);
-    w.kv("resumed", s.units_resumed);
-    w.kv("in_flight", s.units_in_flight);
-    w.kv("queue_depth", s.queue_depth);
-    w.endObject();
-    w.key("shards").beginObject();
-    w.kv("total", s.shards_total);
-    w.kv("done", s.shards_done);
-    w.endObject();
-    w.kv("trials_done", s.trials_done);
-    w.key("fleet").beginObject();
-    for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
-        w.kv(c.key, s.fleet.*c.field);
-    w.endObject();
-    w.kv("elapsed_seconds", s.elapsed_seconds);
-    w.kv("units_per_second", s.units_per_second);
-    w.kv("eta_seconds", s.eta_seconds);
-    w.key("hosts").beginArray();
-    for (const obs::FleetWorkerRecord& h : s.hosts) {
-        w.beginObject();
-        writeFleetWorkerRecord(w, h);
-        w.kv("units_per_second",
-             s.elapsed_seconds > 0.0
-                 ? static_cast<double>(h.units) / s.elapsed_seconds
-                 : 0.0);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
-}
-
-std::string
-statusMetricsText(const DispatchStatus& s)
-{
-    std::vector<obs::PromSample> samples = {
-        {"fleet.units_total", s.units_total},
-        {"fleet.units_settled", s.units_settled},
-        {"fleet.units_in_flight", s.units_in_flight},
-        {"fleet.shards_total", s.shards_total},
-        {"fleet.shards_done", s.shards_done},
-        {"fleet.trials_done", s.trials_done},
-    };
-    for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
-        samples.push_back({c.metric, s.fleet.*c.field});
-    for (const HostSample& h : hostSeries(s.hosts))
-        samples.push_back({"fleet.host." + h.name, h.value, h.label});
-    return obs::renderPrometheusText(samples);
 }
 
 } // namespace gpuecc::sim::fleet

@@ -15,8 +15,8 @@
  * once, here: one obs::FleetWorkerRecord per host (credit, shipped
  * counters, how it ended), the fault counters of
  * obs::FleetTelemetry, and — through the campaign core — shard and
- * trial progress. /status, /metrics, timing.fleet and the
- * fleet.host.<label>.* series are all rendered from it.
+ * trial progress. timing.fleet and the fleet.host.<label>.* series
+ * are both rendered from it at finalize.
  *
  * The queue is a deque under the dispatcher's state mutex, plus a
  * condition variable: an idle liaison blocks in waitClaim and wakes
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.hpp"
 #include "fleet/protocol.hpp"
@@ -54,59 +53,6 @@ struct CampaignPlan;
 } // namespace gpuecc::sim
 
 namespace gpuecc::sim::fleet {
-
-/**
- * One consistent sample of the live campaign, cheap enough to take
- * from an HTTP handler thread mid-run: unit/shard/trial progress,
- * every transport fault counter, throughput and an ETA, and the
- * ledger's host rows. Reading it never touches the tallies or the
- * queue ordering, so sampling cannot perturb determinism.
- */
-struct DispatchStatus
-{
-    std::uint64_t units_total = 0;
-    std::uint64_t units_settled = 0; //!< includes resumed units
-    std::uint64_t units_resumed = 0;
-    std::uint64_t units_in_flight = 0;
-    std::uint64_t queue_depth = 0;
-    std::uint64_t shards_total = 0;
-    std::uint64_t shards_done = 0; //!< includes resumed shards
-    std::uint64_t trials_done = 0; //!< evaluated this run
-    /** Plan facts and fault counters so far (no worker records). */
-    obs::FleetTelemetry fleet;
-    double elapsed_seconds = 0.0;
-    double units_per_second = 0.0;
-    /** Negative = unknown (nothing settled live yet). */
-    double eta_seconds = -1.0;
-    /** Every host's row, the in-process fallback's too. */
-    std::vector<obs::FleetWorkerRecord> hosts;
-};
-
-/** One sample of the series fleet.host.<label>.<name>. */
-struct HostSample
-{
-    std::string label;
-    std::string name;
-    std::uint64_t value = 0;
-};
-
-/**
- * The host-labelled series of @p hosts: per row, its units, shards
- * and trials, then the counters it shipped, in registration order.
- * Each row has its own label ("local-<worker>" or "parent"). The
- * campaign's fleet.host.* counters and /metrics both render from it.
- */
-std::vector<HostSample>
-hostSeries(const std::vector<obs::FleetWorkerRecord>& hosts);
-
-/** The /status document: @p status as JSON. */
-std::string statusJson(const DispatchStatus& status);
-
-/**
- * The /metrics document: @p status as Prometheus text, host series
- * labelled by host (gpuecc_fleet_host_units{host="<label>"}).
- */
-std::string statusMetricsText(const DispatchStatus& status);
 
 class FleetDispatch
 {
@@ -219,9 +165,9 @@ class FleetDispatch
 
     /**
      * Add a ledger row for a host — a forked local worker (@p pid its
-     * process id) or the in-process fallback (worker -1) — and journal
-     * the connect. A local worker that could not be forked is
-     * registered too, then closed as lost.
+     * process id) or the in-process fallback (worker -1). A local
+     * worker that could not be forked is registered too, then closed
+     * as lost.
      */
     void registerHost(int worker, const std::string& label,
                       std::int64_t pid = 0);
@@ -234,9 +180,6 @@ class FleetDispatch
      */
     void closeHost(int worker, int exit_code, bool lost);
 
-    /** Journal one unit dispatch (host looked up by @p worker). */
-    void noteUnitDispatched(std::uint64_t u, int worker);
-
     /**
      * Merge one telemetry line from a host: shipped counter deltas
      * accumulate on the host's row (surfaced at finalize as
@@ -248,17 +191,15 @@ class FleetDispatch
      */
     void absorbTelemetry(const WorkerMessage& msg);
 
-    /** Sample the live state — the /status and /metrics source. */
-    DispatchStatus status() const;
-
     ///@}
 
     /**
      * Stop the clocks, flush the final checkpoint, drop failed
      * schemes, fill timing.fleet (its worker_records are the ledger's
-     * rows, minus the in-process fallback's) and the fleet.* counters,
-     * and return the campaign result. Call once, after all liaisons
-     * joined.
+     * rows, minus the in-process fallback's) and the fleet.* counters —
+     * the fault counters, then per row its units, shards, trials and
+     * shipped counters as fleet.host.<label>.<name> — and return the
+     * campaign result. Call once, after all liaisons joined.
      */
     CampaignResult finalize();
 

@@ -14,7 +14,6 @@
 #include "fleet/dispatch.hpp"
 #include "fleet/protocol.hpp"
 #include "fleet/worker.hpp"
-#include "net/obs_http.hpp"
 
 namespace gpuecc::sim::fleet {
 
@@ -68,52 +67,17 @@ struct Host
 
 } // namespace
 
-Result<std::unique_ptr<FleetService>>
-FleetService::create(const CampaignSpec& spec)
+Result<CampaignResult>
+runFleetService(const CampaignSpec& spec)
 {
     if (!subprocessSupported()) {
         return Status::unavailable(
             "fleet mode needs fork/pipe, which this platform lacks; "
             "run without --fleet-workers");
     }
-    auto service = std::unique_ptr<FleetService>(new FleetService());
-    service->spec_ = spec;
-    // The observability endpoint binds here, so callers can learn
-    // obsPort() before run() — and so its fd exists before the local
-    // workers fork and can go on their close list.
-    if (!spec.obs_listen.empty()) {
-        Result<net::SocketAddress> obs_address =
-            net::parseSocketAddress(spec.obs_listen);
-        if (!obs_address.ok())
-            return obs_address.status();
-        Result<std::unique_ptr<net::ObsHttpServer>> obs =
-            net::ObsHttpServer::create(obs_address.value());
-        if (!obs.ok())
-            return obs.status();
-        service->obs_server_ = std::move(obs).value();
-        inform("fleet: observability endpoint on port " +
-               std::to_string(service->obs_server_->port()) +
-               " (/metrics, /status)");
-    }
-    return service;
-}
-
-FleetService::~FleetService() = default;
-
-int
-FleetService::obsPort() const
-{
-    return obs_server_ != nullptr ? obs_server_->port() : -1;
-}
-
-Result<CampaignResult>
-FleetService::run()
-{
-    require(!ran_, "fleet service: run() called twice");
-    ran_ = true;
 
     Result<std::unique_ptr<FleetDispatch>> created =
-        FleetDispatch::create(spec_);
+        FleetDispatch::create(spec);
     if (!created.ok())
         return created.status();
     FleetDispatch& dispatch = *created.value();
@@ -128,25 +92,23 @@ FleetService::run()
     installInterruptHandlers();
 
     const int unit_deadline_ms =
-        spec_.fleet_worker_timeout_s > 0
-            ? static_cast<int>(spec_.fleet_worker_timeout_s * 1000.0)
+        spec.fleet_worker_timeout_s > 0
+            ? static_cast<int>(spec.fleet_worker_timeout_s * 1000.0)
             : -1;
     const int heartbeat_ms = std::max(
-        1, static_cast<int>(spec_.fleet_heartbeat_timeout_s * 1000.0));
+        1, static_cast<int>(spec.fleet_heartbeat_timeout_s * 1000.0));
 
     // ---- Fork phase -------------------------------------------------
     // Plan building ran on one thread; the local workers must fork
     // before the progress reporter or any liaison thread exists, or a
     // child could inherit a lock some other thread holds. A child
     // inherits the plan, the codec backend, the chaos spec and the
-    // trace origin with the rest of the address space; the endpoint's
-    // listening socket must not leak into it.
+    // trace origin with the rest of the address space, and closes the
+    // pipe ends of the siblings forked before it.
     std::vector<std::unique_ptr<Host>> hosts;
     std::vector<int> inherited_fds;
-    if (obs_server_)
-        inherited_fds.push_back(obs_server_->fd());
     const int local_count = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(spec_.fleet_workers),
+        static_cast<std::uint64_t>(spec.fleet_workers),
         dispatch.initialPendingUnits()));
     const int beat_ms = std::max(1, heartbeat_ms / 4);
     const CampaignPlan& plan = dispatch.plan();
@@ -180,21 +142,6 @@ FleetService::run()
 
     // Threads are safe from here on.
     dispatch.start();
-    if (obs_server_) {
-        obs_server_->serve([&dispatch](const std::string& path) {
-            net::ObsResponse out;
-            if (path == "/metrics") {
-                out.found = true;
-                out.content_type = "text/plain; version=0.0.4";
-                out.body = statusMetricsText(dispatch.status());
-            } else if (path == "/status") {
-                out.found = true;
-                out.content_type = "application/json";
-                out.body = statusJson(dispatch.status());
-            }
-            return out;
-        });
-    }
 
     // One liaison thread per worker: claim a unit, round-trip it,
     // settle it. Heartbeats refresh a liveness deadline, silence
@@ -312,7 +259,6 @@ FleetService::run()
             }
 
             const WorkUnit& unit = dispatch.unit(u);
-            dispatch.noteUnitDispatched(u, H.worker);
             const auto dispatch_at = Clock::now();
             if (Status sent = writeAllFd(
                     H.write_fd, encodeUnitLine(unit), heartbeat_ms);
@@ -391,23 +337,7 @@ FleetService::run()
     // Last rung: whatever is still pending runs right here. A no-op
     // when the campaign settled or an interrupt asked us to stop.
     dispatch.finishInProcess();
-
-    // The endpoint outlives the liaisons (a curl mid-drain is fine)
-    // but not finalize, which consumes the dispatcher.
-    if (obs_server_)
-        obs_server_->stop();
-
     return dispatch.finalize();
-}
-
-Result<CampaignResult>
-runFleetService(const CampaignSpec& spec)
-{
-    Result<std::unique_ptr<FleetService>> service =
-        FleetService::create(spec);
-    if (!service.ok())
-        return service.status();
-    return service.value()->run();
 }
 
 } // namespace gpuecc::sim::fleet

@@ -2,7 +2,7 @@
  * @file
  * The fleet driver: forked local workers, one liaison loop each.
  *
- * FleetService runs every fleet campaign. It forks spec.fleet_workers
+ * runFleetService runs every fleet campaign. It forks spec.fleet_workers
  * local worker processes (pipe pairs) and serves each the
  * newline-JSON session protocol of fleet/protocol.hpp. Every worker
  * gets one liaison thread running the same loop over the
@@ -35,54 +35,19 @@
 #ifndef GPUECC_FLEET_SERVICE_HPP
 #define GPUECC_FLEET_SERVICE_HPP
 
-#include <memory>
-
 #include "common/status.hpp"
 #include "sim/campaign.hpp"
 
-namespace gpuecc::net {
-class ObsHttpServer;
-} // namespace gpuecc::net
-
 namespace gpuecc::sim::fleet {
 
-class FleetService
-{
-  public:
-    /**
-     * Validate the platform and bind the observability endpoint when
-     * spec.obs_listen names one (port 0 for an ephemeral port).
-     */
-    static Result<std::unique_ptr<FleetService>>
-    create(const CampaignSpec& spec);
-
-    ~FleetService();
-
-    /**
-     * The bound observability endpoint port, or -1 when the spec did
-     * not ask for one. The endpoint binds in create() so a caller (or
-     * test) can learn the port before run(); it serves nothing until
-     * the campaign starts.
-     */
-    int obsPort() const;
-
-    /**
-     * Run the campaign to completion (or interrupt). Call once, while
-     * the process is single-threaded — the local workers are forked
-     * inside. Returns the merged campaign result; errors are
-     * unrecoverable setup problems only.
-     */
-    Result<CampaignResult> run();
-
-  private:
-    FleetService() = default;
-
-    CampaignSpec spec_;
-    std::unique_ptr<net::ObsHttpServer> obs_server_;
-    bool ran_ = false;
-};
-
-/** create + run: the campaign runner's entry point for fleet mode. */
+/**
+ * Run a fleet campaign to completion (or interrupt): the campaign
+ * runner's entry point for fleet mode. Call while the process is
+ * single-threaded — the local workers are forked inside. Returns the
+ * merged campaign result; errors are unrecoverable setup problems
+ * only (no fork/pipe on this platform, no usable scheme, a corrupt or
+ * mismatched checkpoint).
+ */
 Result<CampaignResult>
 runFleetService(const CampaignSpec& spec);
 

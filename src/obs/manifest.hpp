@@ -73,9 +73,8 @@ struct SchemeTiming
 /**
  * One fleet host's row in the dispatcher's ledger: a forked local
  * worker or the in-process fallback. The credit fields count settled
- * units only, once each; /status, /metrics,
- * timing.fleet.worker_records and the fleet.host.<label>.* series all
- * render from these rows.
+ * units only, once each; timing.fleet.worker_records and the
+ * fleet.host.<label>.* series both render from these rows.
  */
 struct FleetWorkerRecord
 {
@@ -126,15 +125,14 @@ struct FleetTelemetry
 /** One fault counter: its report key, its metric name, its field. */
 struct FleetFaultCounter
 {
-    const char* key;    //!< timing.fleet and /status key
-    const char* metric; //!< timing.counters and /metrics name
+    const char* key;    //!< timing.fleet key
+    const char* metric; //!< timing.counters name
     std::uint64_t FleetTelemetry::*field;
 };
 
 /**
- * The fleet's fault counters, in report order — the one table every
- * view of them (/status, /metrics, timing.fleet, timing.counters)
- * renders from.
+ * The fleet's fault counters, in report order — the one table both
+ * views of them (timing.fleet, timing.counters) render from.
  */
 inline constexpr FleetFaultCounter kFleetFaultCounters[] = {
     {"requeues", "fleet.units_requeued", &FleetTelemetry::requeues},

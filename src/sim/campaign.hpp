@@ -68,12 +68,11 @@ struct CampaignSpec
 
     /**
      * Fleet mode: number of local worker *processes* to fork and
-     * dispatch work units to over pipes (src/fleet, driven by the
-     * fleet service in src/net). 0 (the default) runs the campaign
-     * in-process on the thread pool. Tallies and the CSV report are
-     * bit-identical either way — fleet mode only changes who
-     * evaluates each shard, never what is drawn. Requires a platform
-     * with fork/pipe; elsewhere tryRun reports unavailable.
+     * dispatch work units to over pipes (src/fleet). 0 (the default)
+     * runs the campaign in-process on the thread pool. Tallies and
+     * the CSV report are bit-identical either way — fleet mode only
+     * changes who evaluates each shard, never what is drawn. Requires
+     * a platform with fork/pipe; elsewhere tryRun reports unavailable.
      */
     int fleet_workers = 0;
     /**
@@ -101,22 +100,6 @@ struct CampaignSpec
      * retired (its cell fails, the fleet survives). Minimum 1.
      */
     int fleet_max_unit_attempts = 3;
-
-    /**
-     * Live observability endpoint ("HOST:PORT"; empty disables).
-     * Fleet campaigns serve read-only Prometheus text at /metrics and
-     * campaign status JSON at /status on this address, safe to curl
-     * mid-campaign without perturbing determinism.
-     */
-    std::string obs_listen;
-    /**
-     * Append-only NDJSON event journal path; empty disables. Every
-     * fleet lifecycle event (connect, dispatch, result, requeue,
-     * poison, fallback, drain, ...) is written through with the
-     * checkpoint's fsync discipline for post-mortem replay via
-     * tools/fleet_journal.
-     */
-    std::string journal_path;
 
     /**
      * Checkpoint sidecar path; empty disables checkpointing. When

@@ -353,7 +353,6 @@ CampaignCore::start()
             1, std::memory_order_relaxed);
         ++totals.shards;
     }
-    pending_at_start_ = totals.shards;
     progress_ =
         std::make_unique<obs::ProgressReporter>(result_.spec.progress, totals);
     for (std::size_t s = 0; s < plan_.schemes.size(); ++s) {
@@ -443,24 +442,6 @@ CampaignCore::elapsedSeconds() const
                                                     start_at_)
                           .count()
                     : 0.0;
-}
-
-std::uint64_t
-CampaignCore::shardsDone() const
-{
-    std::uint64_t pending = 0;
-    for (std::size_t s = 0; s < plan_.schemes.size(); ++s)
-        pending += clocks_[s].pending.load(std::memory_order_relaxed);
-    return result_.resumed_shards + pending_at_start_ - pending;
-}
-
-std::uint64_t
-CampaignCore::trialsDone() const
-{
-    std::uint64_t trials = 0;
-    for (std::size_t s = 0; s < plan_.schemes.size(); ++s)
-        trials += clocks_[s].trials.load(std::memory_order_relaxed);
-    return trials;
 }
 
 Status

@@ -239,15 +239,6 @@ class CampaignCore
     double elapsedSeconds() const;
 
     /**
-     * Shard tasks accounted so far: restored, completed, failed or
-     * skipped. Safe from any thread — the live progress views read it.
-     */
-    std::uint64_t shardsDone() const;
-
-    /** Trials completed by this run (restored ones excluded). */
-    std::uint64_t trialsDone() const;
-
-    /**
      * Join the checkpoint writer, stop the clocks, flush the final
      * checkpoint (complete on success, partial on interrupt), fill
      * the per-scheme timings and their synthetic trace spans, drop
@@ -294,8 +285,6 @@ class CampaignCore
     std::unique_ptr<obs::ProgressReporter> progress_;
     bool resume_found_ = false;
     bool started_ = false;
-    /** Tasks pending at start(): the countdowns' starting sum. */
-    std::uint64_t pending_at_start_ = 0;
     Clock::time_point start_at_;
     double cpu_start_ = 0.0;
     std::uint64_t trace_eval_start_us_ = 0;

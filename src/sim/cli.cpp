@@ -40,17 +40,6 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
     cli.addFlag("fleet-max-unit-attempts", "3",
                 "dispatch attempts before a work unit is declared "
                 "poisonous and its (scheme, pattern) cell failed");
-    cli.addFlag("obs-listen", "",
-                "serve read-only live observability for a fleet "
-                "campaign on host:port (\":0\" picks a free port): "
-                "Prometheus text at /metrics, campaign status JSON at "
-                "/status; safe to curl mid-run, never perturbs "
-                "determinism (needs --fleet-workers)");
-    cli.addFlag("journal", "",
-                "append every fleet lifecycle event (connect, "
-                "dispatch, result, requeue, poison, fallback, drain) "
-                "to this NDJSON file, written through with fsync; "
-                "replay it with fleet_journal (needs --fleet-workers)");
     cli.addFlag("json", "", "write campaign results to this JSON file");
     cli.addFlag("csv", "", "write campaign results to this CSV file");
     cli.addFlag("checkpoint", "",
@@ -94,8 +83,6 @@ campaignSpecFromCli(const Cli& cli)
         cli.getDuration("fleet-heartbeat-timeout", true);
     spec.fleet_max_unit_attempts =
         static_cast<int>(cli.getInt("fleet-max-unit-attempts"));
-    spec.obs_listen = cli.getString("obs-listen");
-    spec.journal_path = cli.getString("journal");
     spec.checkpoint_path = cli.getString("checkpoint");
     spec.resume = cli.getBool("resume");
     spec.checkpoint_interval_s =
@@ -110,10 +97,6 @@ campaignSpecFromCli(const Cli& cli)
         fatal("--fleet-unit must be positive");
     if (spec.fleet_max_unit_attempts < 1)
         fatal("--fleet-max-unit-attempts must be >= 1");
-    if ((!spec.obs_listen.empty() || !spec.journal_path.empty()) &&
-        spec.fleet_workers == 0)
-        fatal("--obs-listen and --journal need --fleet-workers; both "
-              "observe the fleet dispatcher");
     if (spec.resume && spec.checkpoint_path.empty())
         fatal("--resume needs --checkpoint to name the file");
     if (cli.getBool("quiet"))

@@ -220,21 +220,6 @@ writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest)
 }
 
 void
-writeFleetWorkerRecord(JsonWriter& w, const obs::FleetWorkerRecord& r)
-{
-    // The fallback's worker index (-1) reads as 0, like its pid.
-    w.kv("worker", r.worker < 0 ? 0 : r.worker);
-    w.kv("pid", static_cast<std::uint64_t>(r.pid < 0 ? 0 : r.pid));
-    w.kv("units", r.units);
-    w.kv("shards", r.shards);
-    w.kv("trials", r.trials);
-    w.kv("busy_seconds", r.busy_seconds);
-    w.kv("exit_code", r.exit_code);
-    w.kv("lost", r.lost);
-    w.kv("label", r.label);
-}
-
-void
 writeCampaignTiming(JsonWriter& w, const CampaignResult& result)
 {
     w.beginObject();
@@ -280,7 +265,15 @@ writeCampaignTiming(JsonWriter& w, const CampaignResult& result)
         w.key("worker_records").beginArray();
         for (const obs::FleetWorkerRecord& r : f.worker_records) {
             w.beginObject();
-            writeFleetWorkerRecord(w, r);
+            w.kv("worker", r.worker);
+            w.kv("pid", static_cast<std::uint64_t>(r.pid));
+            w.kv("units", r.units);
+            w.kv("shards", r.shards);
+            w.kv("trials", r.trials);
+            w.kv("busy_seconds", r.busy_seconds);
+            w.kv("exit_code", r.exit_code);
+            w.kv("lost", r.lost);
+            w.kv("label", r.label);
             w.endObject();
         }
         w.endArray();

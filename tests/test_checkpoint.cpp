@@ -103,6 +103,20 @@ TEST(JsonParser, WriterOutputRoundTrips)
               1234567890123456789ull);
 }
 
+TEST(JsonParser, EveryEscapedByteRoundTrips)
+{
+    // Every byte the shared escaper rewrites (quote, backslash, the
+    // short escapes, a carriage return and another control byte as
+    // \u00XX), plus one it passes through.
+    const std::string awkward = "q\"b\\r\rn\nt\tc\x01 end";
+    sim::JsonWriter w;
+    w.beginObject().kv("text", awkward).endObject();
+    EXPECT_NE(w.str().find("\\u000d"), std::string::npos) << w.str();
+    const auto doc = sim::parseJson(w.str());
+    ASSERT_TRUE(doc.ok()) << doc.status().toString();
+    EXPECT_EQ(doc.value().find("text")->asString().value(), awkward);
+}
+
 TEST(JsonParser, StructuredErrors)
 {
     for (const char* bad :

@@ -127,6 +127,35 @@ TEST(CliTest, TryGetRejectsMalformedNumbers)
     EXPECT_DOUBLE_EQ(ok_cli.tryGetDouble("rate").value(), 0.5);
 }
 
+TEST(CliTest, BoolAcceptsSixSpellings)
+{
+    const auto parsed = [](const char* text) {
+        Cli cli;
+        cli.addFlag("flag", "false", "a switch");
+        const char* argv[] = {"prog", "--flag", text};
+        EXPECT_TRUE(cli.tryParse(3, const_cast<char**>(argv)).ok());
+        return cli.getBool("flag");
+    };
+    for (const char* text : {"true", "1", "yes"})
+        EXPECT_TRUE(parsed(text)) << text;
+    for (const char* text : {"false", "0", "no"})
+        EXPECT_FALSE(parsed(text)) << text;
+}
+
+TEST(CliTest, UsageTextKeepsLongHelpWhole)
+{
+    // A help line far past any fixed line buffer must still end in its
+    // default and a newline, never run into the next flag.
+    const std::string help(300, 'h');
+    Cli cli;
+    cli.addFlag("long", "7", help);
+    cli.addFlag("next", "0", "the next flag");
+    const std::string text = cli.usageText("desc");
+    EXPECT_NE(text.find(help + " (default: 7)\n  --next"),
+              std::string::npos)
+        << text;
+}
+
 TEST(CliDeathTest, ParseExitsWithUsageCodeOnUnknownFlag)
 {
     Cli cli;
@@ -155,6 +184,18 @@ TEST(CliDeathTest, CampaignDurationsMustBeFiniteAndBounded)
                 ::testing::ExitedWithCode(1), "checkpoint-interval");
     EXPECT_EQ(specFrom("--checkpoint-interval", "1e6").checkpoint_interval_s,
               kMaxDurationSeconds);
+}
+
+TEST(CliDeathTest, ResumeRejectsAnUnknownBooleanSpelling)
+{
+    // "--resume=on" once read as false and silently started fresh.
+    Cli cli;
+    sim::addCampaignFlags(cli, "1000");
+    const char* argv[] = {"prog", "--checkpoint", "ck.json",
+                          "--resume=on"};
+    cli.parse(4, const_cast<char**>(argv), "test");
+    EXPECT_EXIT(sim::campaignSpecFromCli(cli),
+                ::testing::ExitedWithCode(1), "--resume: 'on'");
 }
 
 TEST(CliDeathTest, GetIntDiesOnMalformedValue)

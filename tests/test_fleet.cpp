@@ -654,11 +654,12 @@ TEST(FleetDispatch, UnitErrorForAnotherUnitIsRefused)
     dispatch.registerHost(0, "local-0");
     std::uint64_t u = 0;
     ASSERT_TRUE(dispatch.waitClaim(u, {}));
-    const sim::fleet::DispatchStatus before = dispatch.status();
+    ASSERT_FALSE(dispatch.allSettled());
 
     // A unit_error is only ever about the unit in flight: one naming
-    // a unit far outside the plan, or another unit of it, is refused
-    // before it can fail a cell or settle anything.
+    // a unit far outside the plan, or another unit of it, is refused.
+    // Validation is const, so it cannot fail a cell or settle
+    // anything.
     WorkerMessage rogue;
     rogue.kind = WorkerMessage::Kind::unit_error;
     rogue.worker = 0;
@@ -670,13 +671,7 @@ TEST(FleetDispatch, UnitErrorForAnotherUnitIsRefused)
     EXPECT_FALSE(dispatch.validateUnitError(rogue, u).ok());
     rogue.unit = u;
     EXPECT_TRUE(dispatch.validateUnitError(rogue, u).ok());
-
-    const sim::fleet::DispatchStatus after = dispatch.status();
-    EXPECT_EQ(after.units_settled, before.units_settled);
-    EXPECT_EQ(after.units_in_flight, before.units_in_flight);
-    EXPECT_EQ(after.queue_depth, before.queue_depth);
-    EXPECT_EQ(after.shards_done, before.shards_done);
-    EXPECT_EQ(after.fleet.requeues, 0u);
+    EXPECT_FALSE(dispatch.allSettled());
 
     // The liaison's invalid-line path: requeue the unit in flight and
     // retire the host. The campaign then finishes without the refused
@@ -692,6 +687,58 @@ TEST(FleetDispatch, UnitErrorForAnotherUnitIsRefused)
     EXPECT_TRUE(r.fleet.worker_records[0].lost);
     EXPECT_TRUE(r.errors.empty());
     expectCellsIdentical(reference, r);
+}
+
+TEST(FleetDispatch, DuplicateResultsDoNotDoubleCountHostCredit)
+{
+    // Drive the dispatcher directly: absorb one telemetry line, then
+    // deliver the same result twice. The host's credit and shipped
+    // counters must ride the settled-exactly-once gate — the replay
+    // is discarded and counted, never double-merged.
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 1;
+    auto created = sim::fleet::FleetDispatch::create(spec);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    sim::fleet::FleetDispatch& dispatch = *created.value();
+    dispatch.start();
+    dispatch.registerHost(0, "alpha");
+
+    std::uint64_t u = 0;
+    ASSERT_TRUE(dispatch.waitClaim(u, {}));
+
+    WorkerMessage telemetry;
+    telemetry.kind = WorkerMessage::Kind::telemetry;
+    telemetry.worker = 0;
+    telemetry.unit = u;
+    telemetry.counters = {{"campaign.trials", 100}};
+    dispatch.absorbTelemetry(telemetry);
+
+    WorkerMessage result;
+    result.kind = WorkerMessage::Kind::result;
+    result.worker = 0;
+    result.unit = u;
+    result.busy_us = 1000;
+    const auto now = sim::fleet::FleetDispatch::Clock::now();
+    EXPECT_TRUE(dispatch.completeUnit(result, now, now));
+    // The replayed delivery must be discarded and counted.
+    EXPECT_FALSE(dispatch.completeUnit(result, now, now));
+
+    dispatch.finishInProcess();
+    const sim::CampaignResult r = dispatch.finalize();
+    EXPECT_EQ(r.fleet.duplicate_results, 1u);
+    ASSERT_EQ(r.fleet.worker_records.size(), 1u);
+    EXPECT_EQ(r.fleet.worker_records[0].label, "alpha");
+    EXPECT_EQ(r.fleet.worker_records[0].units, 1u); // credited once
+    // The credit and the shipped counter delta surface once under the
+    // host label.
+    const obs::CounterValue* units =
+        r.metrics.findCounter("fleet.host.alpha.units");
+    const obs::CounterValue* trials =
+        r.metrics.findCounter("fleet.host.alpha.campaign.trials");
+    ASSERT_NE(units, nullptr);
+    ASSERT_NE(trials, nullptr);
+    EXPECT_EQ(units->value, 1u);
+    EXPECT_EQ(trials->value, 100u);
 }
 
 TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)
