@@ -132,6 +132,20 @@ Cli::getInt(const std::string& name) const
     return v.value();
 }
 
+std::int64_t
+Cli::getIntInRange(const std::string& name, std::int64_t lo,
+                   std::int64_t hi) const
+{
+    std::string bounds = "[";
+    bounds += std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    Result<std::int64_t> v = tryGetInt(name);
+    if (!v.ok())
+        fatal(v.status().message() + "; must be in " + bounds);
+    if (v.value() < lo || v.value() > hi)
+        fatal("--" + name + " must be in " + bounds);
+    return v.value();
+}
+
 double
 Cli::getDouble(const std::string& name) const
 {

@@ -77,6 +77,14 @@ class Cli
     std::int64_t getInt(const std::string& name) const;
 
     /**
+     * Value of a declared integer flag that must lie in [lo, hi];
+     * fatal if malformed or out of range, naming the flag and its
+     * bounds.
+     */
+    std::int64_t getIntInRange(const std::string& name, std::int64_t lo,
+                               std::int64_t hi) const;
+
+    /**
      * Value of a declared flag as a finite double; fatal if malformed,
      * NaN or infinite.
      */

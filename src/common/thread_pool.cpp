@@ -4,14 +4,6 @@
 
 #include "common/log.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#define GPUECC_HAVE_PTHREAD_AFFINITY 1
-#else
-#define GPUECC_HAVE_PTHREAD_AFFINITY 0
-#endif
-
 namespace gpuecc {
 
 namespace {
@@ -23,18 +15,6 @@ namespace {
  * slot single-threaded helpers expect.
  */
 thread_local int tls_worker_id = 0;
-
-#if GPUECC_HAVE_PTHREAD_AFFINITY
-/** Pin a pthread to one CPU; returns false if the call failed. */
-bool
-pinThreadToCpu(pthread_t handle, int cpu)
-{
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(cpu), &set);
-    return pthread_setaffinity_np(handle, sizeof(set), &set) == 0;
-}
-#endif
 
 } // namespace
 
@@ -59,58 +39,18 @@ ThreadPool::resolveThreadCount(int requested)
     return requested == 0 ? hardwareThreads() : requested;
 }
 
-ThreadPool::ThreadPool(int threads, bool pin_workers)
-    : num_threads_(resolveThreadCount(threads)),
-      pin_workers_(pin_workers)
+ThreadPool::ThreadPool(int threads)
+    : num_threads_(resolveThreadCount(threads))
 {
     stats_.worker_busy_seconds.assign(
         static_cast<std::size_t>(num_threads_), 0.0);
     workers_.reserve(num_threads_);
     for (int i = 0; i < num_threads_; ++i)
         workers_.push_back(std::make_unique<Worker>());
-    if (pin_workers_) {
-        affinity_applied_ = true;
-        pinCallingThread();
-    }
     // Worker 0 is the calling thread; only spawn the others.
     threads_.reserve(num_threads_ - 1);
-    for (int i = 1; i < num_threads_; ++i) {
+    for (int i = 1; i < num_threads_; ++i)
         threads_.emplace_back([this, i] { workerLoop(i); });
-        if (pin_workers_)
-            pinSpawnedThread(threads_.back(), i);
-    }
-}
-
-void
-ThreadPool::pinCallingThread()
-{
-#if GPUECC_HAVE_PTHREAD_AFFINITY
-    // Save the caller's mask so the destructor can undo the pin —
-    // the pool borrows the calling thread, it doesn't own it.
-    if (pthread_getaffinity_np(pthread_self(), sizeof(caller_mask_),
-                               reinterpret_cast<cpu_set_t*>(
-                                   caller_mask_)) == 0) {
-        restore_caller_affinity_ = true;
-    }
-    if (!pinThreadToCpu(pthread_self(), 0))
-        affinity_applied_ = false;
-#else
-    affinity_applied_ = false;
-#endif
-}
-
-void
-ThreadPool::pinSpawnedThread(std::thread& t, int worker)
-{
-#if GPUECC_HAVE_PTHREAD_AFFINITY
-    const int cpu = worker % hardwareThreads();
-    if (!pinThreadToCpu(t.native_handle(), cpu))
-        affinity_applied_ = false;
-#else
-    (void)t;
-    (void)worker;
-    affinity_applied_ = false;
-#endif
 }
 
 ThreadPool::~ThreadPool()
@@ -122,13 +62,6 @@ ThreadPool::~ThreadPool()
     gate_cv_.notify_all();
     for (std::thread& t : threads_)
         t.join();
-#if GPUECC_HAVE_PTHREAD_AFFINITY
-    if (restore_caller_affinity_) {
-        pthread_setaffinity_np(pthread_self(), sizeof(caller_mask_),
-                               reinterpret_cast<cpu_set_t*>(
-                                   caller_mask_));
-    }
-#endif
 }
 
 void

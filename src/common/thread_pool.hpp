@@ -15,9 +15,7 @@
  * arenas (WorkerArena) the campaign engine accumulates tallies and
  * batch buffers in: each worker mutates only its own line-aligned
  * slot, so the hot path never false-shares, and the slots are merged
- * once after the pool drains. Optionally the pool pins worker i to
- * hardware thread i % hardwareThreads() (--affinity); on platforms
- * without affinity support the request is a recorded no-op.
+ * once after the pool drains.
  */
 
 #ifndef GPUECC_COMMON_THREAD_POOL_HPP
@@ -64,16 +62,10 @@ class ThreadPool
 {
   public:
     /**
-     * @param threads     worker count; 0 means one per hardware
-     *                    thread. The calling thread is one of the
-     *                    workers.
-     * @param pin_workers pin worker i to hardware thread
-     *                    i % hardwareThreads(); a no-op (recorded in
-     *                    affinityApplied()) where unsupported. The
-     *                    calling thread's original affinity mask is
-     *                    restored on destruction.
+     * @param threads worker count; 0 means one per hardware thread.
+     *                The calling thread is one of the workers.
      */
-    explicit ThreadPool(int threads = 0, bool pin_workers = false);
+    explicit ThreadPool(int threads = 0);
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
@@ -82,14 +74,6 @@ class ThreadPool
 
     /** Number of workers (including the calling thread). */
     int threadCount() const { return num_threads_; }
-
-    /**
-     * Whether worker pinning was requested AND applied. False when
-     * pinning was not requested, the platform has no affinity
-     * support, or any pin call failed (the pool still runs — affinity
-     * is a placement hint, never a correctness requirement).
-     */
-    bool affinityApplied() const { return affinity_applied_; }
 
     /**
      * Dense id of the pool worker executing the current thread, in
@@ -143,15 +127,8 @@ class ThreadPool
     void drain(int self);
     bool popOwn(int self, std::uint64_t& idx);
     bool steal(int self, std::uint64_t& idx);
-    void pinCallingThread();
-    void pinSpawnedThread(std::thread& t, int worker);
 
     int num_threads_;
-    bool pin_workers_ = false;
-    bool affinity_applied_ = false;
-    bool restore_caller_affinity_ = false;
-    /** Opaque cpu_set_t storage (sched.h stays out of this header). */
-    alignas(8) unsigned char caller_mask_[128] = {};
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
 

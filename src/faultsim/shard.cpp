@@ -18,7 +18,7 @@ namespace {
 std::uint64_t
 blockStream(ErrorPattern p, std::uint64_t block_index)
 {
-    require(block_index < (1ull << 32),
+    require(block_index < kStreamBlocksPerPattern,
             "planShards: block index overflows the stream id space");
     return (static_cast<std::uint64_t>(p) << 32) | block_index;
 }

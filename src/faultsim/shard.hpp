@@ -42,6 +42,17 @@ constexpr std::uint64_t kShardSamples = 1 << 16;
  */
 constexpr std::uint64_t kStreamBlockSamples = 1024;
 
+/**
+ * Stream blocks one sampled pattern can address: a block's index
+ * fills the low half of its 64-bit stream id, the pattern the high
+ * half.
+ */
+constexpr std::uint64_t kStreamBlocksPerPattern = std::uint64_t{1} << 32;
+
+/** Largest sample budget planShards can key to distinct streams. */
+constexpr std::uint64_t kMaxSampledSamples =
+    kStreamBlockSamples * kStreamBlocksPerPattern;
+
 /** Outer enumeration slots per shard of an enumerable pattern. */
 constexpr std::uint64_t kShardOuterSlots = 8;
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +51,8 @@ struct Host
     std::int64_t pid = -1;
     std::unique_ptr<LineReader> reader;
     std::thread thread;
+    /** Claimed for this worker before any liaison thread runs. */
+    std::optional<std::uint64_t> first_unit;
 
     /** Close the pipes and reap the worker (killing it first when it
         is being retired); returns its exit code. */
@@ -142,6 +145,15 @@ runFleetService(const CampaignSpec& spec)
 
     // Threads are safe from here on.
     dispatch.start();
+
+    // Each worker's first unit is claimed here, in fork order, before
+    // any liaison runs: every forked worker starts a unit however the
+    // scheduler orders the liaison threads.
+    for (auto& host : hosts) {
+        std::uint64_t u = 0;
+        if (dispatch.waitClaim(u, Clock::duration::zero()))
+            host->first_unit = u;
+    }
 
     // One liaison thread per worker: claim a unit, round-trip it,
     // settle it. Heartbeats refresh a liveness deadline, silence
@@ -238,13 +250,17 @@ runFleetService(const CampaignSpec& spec)
         };
 
         for (;;) {
-            if (interruptRequested() || dispatch.allSettled()) {
+            std::uint64_t u = 0;
+            if (H.first_unit) {
+                // Sent even after an interrupt: the settlement loop
+                // below requeues it like any unit in flight.
+                u = *H.first_unit;
+                H.first_unit.reset();
+            } else if (interruptRequested() || dispatch.allSettled()) {
                 hangUp();
                 return;
-            }
-            std::uint64_t u = 0;
-            if (!dispatch.waitClaim(u,
-                                    std::chrono::milliseconds(kPollMs))) {
+            } else if (!dispatch.waitClaim(
+                           u, std::chrono::milliseconds(kPollMs))) {
                 // Nothing to hand out (the last units are in flight
                 // elsewhere): drain what the worker sent meanwhile and
                 // watch its liveness. Settlement lines without a unit

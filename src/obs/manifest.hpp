@@ -2,12 +2,12 @@
  * @file
  * Run manifests: the provenance block embedded in every report.
  *
- * A BENCH_*.json artifact is only comparable to another when both say
- * what produced them — build type, compiler, hardware, thread count,
- * codec backend, chaos configuration. RunManifest gathers those facts;
- * PoolTelemetry and SchemeTiming carry the measured side (where the
- * time went). Serialization to JSON lives in sim/report (obs depends
- * only on common), and tools/compare_runs consumes the result.
+ * A report is only comparable to another when both say what produced
+ * them — build type, compiler, hardware, thread count, codec backend,
+ * chaos configuration. RunManifest gathers those facts; PoolTelemetry
+ * and SchemeTiming carry the measured side (where the time went).
+ * Serialization to JSON lives in sim/report (obs depends only on
+ * common).
  */
 
 #ifndef GPUECC_OBS_MANIFEST_HPP
@@ -43,8 +43,6 @@ struct PoolTelemetry
     double busy_seconds = 0.0;
     /** Wall time the pool spent inside parallelFor. */
     double wall_seconds = 0.0;
-    /** Whether worker CPU pinning was requested and took effect. */
-    bool affinity = false;
     /** Per-worker busy time (index = worker id; sums to busy). */
     std::vector<double> worker_busy_seconds;
 
@@ -163,8 +161,6 @@ struct RunManifest
     std::uint64_t chunk = 0;
     /** Fleet worker processes (0 = in-process execution). */
     int fleet_workers = 0;
-    /** Whether worker CPU pinning was requested and took effect. */
-    bool affinity = false;
     std::vector<std::string> schemes;
     bool traced = false;
     /** sampleErrorMask stream version (kSamplerVersion); 0 for a

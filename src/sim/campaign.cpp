@@ -76,8 +76,10 @@ CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec))
     require(!spec_.scheme_ids.empty(),
             "CampaignRunner: spec names no schemes");
     require(spec_.chunk > 0, "CampaignRunner: chunk must be positive");
-    require(spec_.fleet_workers >= 0 && spec_.fleet_workers <= 4096,
-            "CampaignRunner: fleet workers must be in [0, 4096]");
+    require(spec_.fleet_workers >= 0 &&
+                spec_.fleet_workers <= kMaxWorkers,
+            "CampaignRunner: fleet workers must be in [0, " +
+                std::to_string(kMaxWorkers) + "]");
     require(spec_.fleet_unit_shards > 0,
             "CampaignRunner: fleet unit must hold at least one shard");
 }
@@ -205,8 +207,7 @@ CampaignRunner::tryRun() const
     CampaignResult& result = core.result();
     {
         obs::TraceSpan span("evaluate", "campaign");
-        ThreadPool pool(threads, spec_.affinity);
-        result.pool.affinity = pool.affinityApplied();
+        ThreadPool pool(threads);
         WorkerArena<WorkerState> states(pool);
         for (int w = 0; w < states.size(); ++w)
             states.at(w).cells.resize(result.cells.size());

@@ -38,6 +38,13 @@
 
 namespace gpuecc::sim {
 
+/**
+ * Most worker threads or forked fleet workers a campaign may ask for:
+ * far past any host it runs on, and low enough that a mistyped count
+ * cannot ask the OS for millions of threads or processes.
+ */
+constexpr int kMaxWorkers = 4096;
+
 /** What to run: schemes × patterns × samples, under one seed. */
 struct CampaignSpec
 {
@@ -58,13 +65,6 @@ struct CampaignSpec
      * way, so reports are unaffected.
      */
     std::uint64_t chunk = 1 << 16;
-    /**
-     * Pin worker i to hardware thread i (mod core count). A placement
-     * hint only: tallies and CSV reports are byte-identical with and
-     * without it, and it degrades to a recorded no-op on platforms
-     * without affinity support.
-     */
-    bool affinity = false;
 
     /**
      * Fleet mode: number of local worker *processes* to fork and

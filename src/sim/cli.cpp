@@ -1,8 +1,10 @@
 #include "sim/cli.hpp"
 
 #include <cstdio>
+#include <limits>
 
 #include "common/log.hpp"
+#include "faultsim/shard.hpp"
 #include "obs/trace.hpp"
 #include "sim/report.hpp"
 
@@ -18,10 +20,6 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
     cli.addFlag("threads", "1",
                 "worker threads (0 = one per hardware thread)");
     cli.addFlag("chunk", "65536", "samples per shard");
-    cli.addFlag("affinity", "false",
-                "pin worker i to hardware thread i (placement hint; "
-                "results are byte-identical either way, no-op where "
-                "unsupported)");
     cli.addFlag("fleet-workers", "0",
                 "fork this many local worker processes and dispatch "
                 "shard work units to them over pipes (0 = in-process; "
@@ -67,36 +65,37 @@ addCampaignFlags(Cli& cli, const std::string& default_samples)
 CampaignSpec
 campaignSpecFromCli(const Cli& cli)
 {
+    // Every integer flag is range-checked before it is narrowed, so no
+    // value wraps into a different, legal-looking one.
+    constexpr std::int64_t kMaxInt64 =
+        std::numeric_limits<std::int64_t>::max();
+    constexpr auto kMaxSamples =
+        static_cast<std::int64_t>(kMaxSampledSamples);
     CampaignSpec spec;
-    spec.samples = static_cast<std::uint64_t>(cli.getInt("samples"));
-    spec.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
-    spec.threads = static_cast<int>(cli.getInt("threads"));
-    spec.chunk = static_cast<std::uint64_t>(cli.getInt("chunk"));
-    spec.affinity = cli.getBool("affinity");
-    spec.fleet_workers =
-        static_cast<int>(cli.getInt("fleet-workers"));
-    spec.fleet_unit_shards =
-        static_cast<std::uint64_t>(cli.getInt("fleet-unit"));
+    spec.samples = static_cast<std::uint64_t>(
+        cli.getIntInRange("samples", 0, kMaxSamples));
+    spec.seed = static_cast<std::uint64_t>(
+        cli.getIntInRange("seed", 0, kMaxInt64));
+    spec.threads =
+        static_cast<int>(cli.getIntInRange("threads", 0, kMaxWorkers));
+    spec.chunk = static_cast<std::uint64_t>(
+        cli.getIntInRange("chunk", 1, kMaxSamples));
+    spec.fleet_workers = static_cast<int>(
+        cli.getIntInRange("fleet-workers", 0, kMaxWorkers));
+    spec.fleet_unit_shards = static_cast<std::uint64_t>(
+        cli.getIntInRange("fleet-unit", 1, kMaxInt64));
     spec.fleet_worker_timeout_s =
         cli.getDuration("fleet-worker-timeout", false);
     spec.fleet_heartbeat_timeout_s =
         cli.getDuration("fleet-heartbeat-timeout", true);
     spec.fleet_max_unit_attempts =
-        static_cast<int>(cli.getInt("fleet-max-unit-attempts"));
+        static_cast<int>(cli.getIntInRange(
+            "fleet-max-unit-attempts", 1,
+            std::numeric_limits<int>::max()));
     spec.checkpoint_path = cli.getString("checkpoint");
     spec.resume = cli.getBool("resume");
     spec.checkpoint_interval_s =
         cli.getDuration("checkpoint-interval", false);
-    if (spec.chunk == 0)
-        fatal("--chunk must be positive");
-    if (spec.threads < 0)
-        fatal("--threads must be >= 0 (0 selects all cores)");
-    if (spec.fleet_workers < 0 || spec.fleet_workers > 4096)
-        fatal("--fleet-workers must be in [0, 4096]");
-    if (spec.fleet_unit_shards == 0)
-        fatal("--fleet-unit must be positive");
-    if (spec.fleet_max_unit_attempts < 1)
-        fatal("--fleet-max-unit-attempts must be >= 1");
     if (spec.resume && spec.checkpoint_path.empty())
         fatal("--resume needs --checkpoint to name the file");
     if (cli.getBool("quiet"))

@@ -31,7 +31,9 @@ void addCampaignFlags(Cli& cli,
 
 /**
  * Build a spec from the shared flags (scheme ids and patterns are
- * tool-specific and left empty for the caller to fill in). Maps
+ * tool-specific and left empty for the caller to fill in). Every
+ * integer flag is range-checked first: a value out of range is fatal,
+ * naming the flag and its bounds. Maps
  * --progress/--quiet onto spec.progress (--quiet wins; the default
  * auto-enables the live line on a TTY) and starts trace collection
  * when --trace names a file.

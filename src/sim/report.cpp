@@ -171,6 +171,9 @@ campaignCsv(const CampaignResult& result)
     return out;
 }
 
+namespace {
+
+/** The provenance manifest describing how `result` was produced. */
 obs::RunManifest
 campaignRunManifest(const CampaignResult& result)
 {
@@ -185,12 +188,13 @@ campaignRunManifest(const CampaignResult& result)
     m.seed = result.spec.seed;
     m.chunk = result.spec.chunk;
     m.fleet_workers = result.fleet.workers;
-    m.affinity = result.pool.affinity;
     m.schemes = result.spec.scheme_ids;
     m.traced = obs::traceEnabled();
     m.sampler = kSamplerVersion;
     return m;
 }
+
+} // namespace
 
 void
 writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest)
@@ -209,7 +213,6 @@ writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest)
     w.kv("seed", manifest.seed);
     w.kv("chunk", manifest.chunk);
     w.kv("fleet_workers", manifest.fleet_workers);
-    w.kv("affinity", manifest.affinity);
     w.key("schemes").beginArray();
     for (const std::string& id : manifest.schemes)
         w.value(id);
@@ -219,6 +222,13 @@ writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest)
     w.endObject();
 }
 
+namespace {
+
+/**
+ * Serialize a campaign's timing section as the next JSON value:
+ * wall/CPU seconds, throughput, pool telemetry, per-scheme timings,
+ * and the campaign.* metric counters/histograms recorded by the run.
+ */
 void
 writeCampaignTiming(JsonWriter& w, const CampaignResult& result)
 {
@@ -235,7 +245,6 @@ writeCampaignTiming(JsonWriter& w, const CampaignResult& result)
     w.kv("wall_seconds", result.pool.wall_seconds);
     w.kv("utilization", result.pool.utilization());
     w.kv("idle_fraction", result.pool.idleFraction());
-    w.kv("affinity", result.pool.affinity);
     // Per-worker load split: worker i's busy seconds and its share
     // of the pool wall clock — the imbalance view the aggregate
     // utilization hides.
@@ -313,6 +322,8 @@ writeCampaignTiming(JsonWriter& w, const CampaignResult& result)
     w.endObject();
     w.endObject();
 }
+
+} // namespace
 
 std::string
 campaignJson(const CampaignResult& result)

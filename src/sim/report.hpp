@@ -6,7 +6,7 @@
  * downstream tooling (plots, regression dashboards, the CI smoke run)
  * can consume any campaign the same way. JsonWriter is a minimal
  * streaming writer — no external JSON dependency — that the benches
- * also use for their own bespoke artifacts (e.g. BENCH_throughput.json).
+ * also use for their own bespoke artifacts (e.g. bench_tab3 --json).
  */
 
 #ifndef GPUECC_SIM_REPORT_HPP
@@ -72,22 +72,12 @@ std::string campaignCsv(const CampaignResult& result);
  * Campaign spec, run stats, cells, errors, plus the provenance
  * manifest and a "timing" section (wall/CPU, pool utilization,
  * per-scheme breakdown, campaign.* metric counters) as a JSON
- * document. tools/compare_runs diffs two of these.
+ * document.
  */
 std::string campaignJson(const CampaignResult& result);
 
-/** The provenance manifest describing how `result` was produced. */
-obs::RunManifest campaignRunManifest(const CampaignResult& result);
-
 /** Serialize a manifest as the next JSON value (after w.key(...)). */
 void writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest);
-
-/**
- * Serialize a campaign's timing section as the next JSON value:
- * wall/CPU seconds, throughput, pool telemetry, per-scheme timings,
- * and the campaign.* metric counters/histograms recorded by the run.
- */
-void writeCampaignTiming(JsonWriter& w, const CampaignResult& result);
 
 /**
  * Write content to path, detecting every failure mode fopen/fwrite/

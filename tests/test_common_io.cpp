@@ -1,11 +1,15 @@
 /** @file Tests for the table renderer and CLI parser. */
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "faultsim/shard.hpp"
 #include "sim/cli.hpp"
 
 namespace gpuecc {
@@ -166,36 +170,110 @@ TEST(CliDeathTest, ParseExitsWithUsageCodeOnUnknownFlag)
                 "unknown flag");
 }
 
+/**
+ * Parse argv through the shared campaign flags into a spec. Parsing
+ * only: no pool, plan or fleet is built, whatever the counts say.
+ */
+sim::CampaignSpec
+campaignSpecFrom(std::vector<std::string> args)
+{
+    Cli cli;
+    sim::addCampaignFlags(cli, "1000");
+    args.insert(args.begin(), "prog");
+    std::vector<char*> argv;
+    for (std::string& a : args)
+        argv.push_back(a.data());
+    cli.parse(static_cast<int>(argv.size()), argv.data(), "test");
+    return sim::campaignSpecFromCli(cli);
+}
+
 TEST(CliDeathTest, CampaignDurationsMustBeFiniteAndBounded)
 {
     // Durations become int milliseconds downstream: a value past
     // kMaxDurationSeconds, or one that is not finite, exits like the
     // other range checks, naming the flag.
-    const auto specFrom = [](const char* flag, const char* value) {
-        Cli cli;
-        sim::addCampaignFlags(cli, "1000");
-        const char* argv[] = {"prog", flag, value};
-        cli.parse(3, const_cast<char**>(argv), "test");
-        return sim::campaignSpecFromCli(cli);
-    };
-    EXPECT_EXIT(specFrom("--fleet-heartbeat-timeout", "1e300"),
+    EXPECT_EXIT(campaignSpecFrom({"--fleet-heartbeat-timeout", "1e300"}),
                 ::testing::ExitedWithCode(1), "fleet-heartbeat-timeout");
-    EXPECT_EXIT(specFrom("--checkpoint-interval", "inf"),
+    EXPECT_EXIT(campaignSpecFrom({"--checkpoint-interval", "inf"}),
                 ::testing::ExitedWithCode(1), "checkpoint-interval");
-    EXPECT_EQ(specFrom("--checkpoint-interval", "1e6").checkpoint_interval_s,
+    EXPECT_EQ(campaignSpecFrom({"--checkpoint-interval", "1e6"})
+                  .checkpoint_interval_s,
               kMaxDurationSeconds);
+}
+
+TEST(CliTest, CampaignIntegerFlagsAcceptTheirBounds)
+{
+    const std::string max_samples = std::to_string(kMaxSampledSamples);
+    const sim::CampaignSpec spec = campaignSpecFrom(
+        {"--threads=4096", "--fleet-workers=4096",
+         "--samples=" + max_samples, "--chunk=" + max_samples,
+         "--seed=0x7fffffffffffffff", "--fleet-unit=1",
+         "--fleet-max-unit-attempts=2147483647"});
+    EXPECT_EQ(spec.threads, sim::kMaxWorkers);
+    EXPECT_EQ(spec.fleet_workers, sim::kMaxWorkers);
+    EXPECT_EQ(spec.samples, kMaxSampledSamples);
+    EXPECT_EQ(spec.chunk, kMaxSampledSamples);
+    EXPECT_EQ(spec.seed,
+              static_cast<std::uint64_t>(
+                  std::numeric_limits<std::int64_t>::max()));
+    EXPECT_EQ(spec.fleet_unit_shards, 1u);
+    EXPECT_EQ(spec.fleet_max_unit_attempts,
+              std::numeric_limits<int>::max());
+    // The sample bound is the stream-id space planShards keys blocks to.
+    EXPECT_EQ(kMaxSampledSamples,
+              kStreamBlockSamples * kStreamBlocksPerPattern);
+
+    const sim::CampaignSpec low = campaignSpecFrom(
+        {"--threads=0", "--fleet-workers=0", "--samples=0", "--chunk=1",
+         "--seed=0", "--fleet-max-unit-attempts=1"});
+    EXPECT_EQ(low.threads, 0);
+    EXPECT_EQ(low.samples, 0u);
+    EXPECT_EQ(low.chunk, 1u);
+    EXPECT_EQ(low.seed, 0u);
+    EXPECT_EQ(low.fleet_max_unit_attempts, 1);
+}
+
+TEST(CliDeathTest, CampaignIntegerFlagsRejectOutOfRangeValues)
+{
+    // A value outside its flag's range exits 1 naming the flag and
+    // its bounds. It must never narrow or wrap into another value, as
+    // 4294967298 threads would into 2.
+    const std::string max_samples = std::to_string(kMaxSampledSamples);
+    const auto rejects = [](const std::string& arg,
+                            const std::string& message) {
+        EXPECT_EXIT(campaignSpecFrom({arg}),
+                    ::testing::ExitedWithCode(1), message)
+            << arg;
+    };
+    rejects("--threads=4294967298", "--threads must be in \\[0, 4096\\]");
+    rejects("--threads=4097", "--threads must be in \\[0, 4096\\]");
+    rejects("--threads=-1", "--threads must be in \\[0, 4096\\]");
+    rejects("--fleet-workers=4097",
+            "--fleet-workers must be in \\[0, 4096\\]");
+    rejects("--fleet-max-unit-attempts=4294967297",
+            "--fleet-max-unit-attempts must be in \\[1, 2147483647\\]");
+    rejects("--fleet-max-unit-attempts=0",
+            "--fleet-max-unit-attempts must be in \\[1, ");
+    rejects("--chunk=-1", "--chunk must be in \\[1, " + max_samples);
+    rejects("--chunk=0", "--chunk must be in \\[1, " + max_samples);
+    rejects("--samples=-1",
+            "--samples must be in \\[0, " + max_samples + "\\]");
+    rejects("--samples=" + std::to_string(kMaxSampledSamples + 1),
+            "--samples must be in \\[0, " + max_samples + "\\]");
+    rejects("--seed=-1", "--seed must be in \\[0, ");
+    rejects("--fleet-unit=0", "--fleet-unit must be in \\[1, ");
+    // Past 64 bits, or not an integer at all: the bounds still show.
+    rejects("--threads=99999999999999999999",
+            "--threads: .* overflows 64 bits; must be in \\[0, 4096\\]");
+    rejects("--samples=1e6", "--samples: '1e6' is not an integer; must be in");
 }
 
 TEST(CliDeathTest, ResumeRejectsAnUnknownBooleanSpelling)
 {
     // "--resume=on" once read as false and silently started fresh.
-    Cli cli;
-    sim::addCampaignFlags(cli, "1000");
-    const char* argv[] = {"prog", "--checkpoint", "ck.json",
-                          "--resume=on"};
-    cli.parse(4, const_cast<char**>(argv), "test");
-    EXPECT_EXIT(sim::campaignSpecFromCli(cli),
-                ::testing::ExitedWithCode(1), "--resume: 'on'");
+    EXPECT_EXIT(
+        campaignSpecFrom({"--checkpoint", "ck.json", "--resume=on"}),
+        ::testing::ExitedWithCode(1), "--resume: 'on'");
 }
 
 TEST(CliDeathTest, GetIntDiesOnMalformedValue)

@@ -409,11 +409,15 @@ TEST(Fleet, KilledWorkerUnitIsRequeuedBitIdentically)
     const sim::CampaignResult reference =
         sim::CampaignRunner(spec).run();
 
-    // Worker 1 self-kills when it starts its second unit; its
-    // in-flight unit must be re-queued and finished by worker 0.
+    // Worker 1 self-kills when it starts its first unit; its
+    // in-flight unit must be re-queued and finished by worker 0. The
+    // service hands every worker its first unit before any liaison
+    // thread runs, so worker 1 dies however the threads are scheduled
+    // (a kill on its second unit never fired when worker 0 settled
+    // the whole plan first).
     sim::ChaosSpec chaos;
     chaos.fleet_exit_worker = 1;
-    chaos.fleet_exit_after = 1;
+    chaos.fleet_exit_after = 0;
     sim::setChaosSpec(chaos);
     spec.fleet_workers = 2;
     const sim::CampaignResult fleet =

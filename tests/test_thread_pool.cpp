@@ -154,28 +154,5 @@ TEST(ThreadPool, PerWorkerBusySecondsSumToBusy)
     EXPECT_NEAR(sum, stats.busy_seconds, 1e-9);
 }
 
-TEST(ThreadPool, AffinityRequestNeverChangesResults)
-{
-    // Pinning is a placement hint: whether or not the platform
-    // honours it, the pool must report a coherent flag and produce
-    // identical results.
-    ThreadPool unpinned(2, false);
-    EXPECT_FALSE(unpinned.affinityApplied());
-    ThreadPool pinned(2, true);
-    std::atomic<std::uint64_t> sum{0};
-    pinned.parallelFor(100, [&](std::uint64_t i) {
-        sum.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 4950u);
-    // On Linux the pin either took or was recorded as not applied;
-    // either way later pools are unaffected.
-    std::atomic<std::uint64_t> sum2{0};
-    ThreadPool after(2, false);
-    after.parallelFor(100, [&](std::uint64_t i) {
-        sum2.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum2.load(), 4950u);
-}
-
 } // namespace
 } // namespace gpuecc
