@@ -21,6 +21,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/campaign.hpp"
 #include "sim/report.hpp"
 
 using namespace gpuecc;
@@ -37,9 +38,11 @@ main(int argc, char** argv)
     cli.parse(argc, argv,
               "Ablation: randomized SEC-2bEC code search vs the "
               "published Eq. 3 matrix.");
+    // The grid holds one cell per (budget, seed).
     const auto num_seeds = static_cast<std::uint64_t>(
-        cli.getInt("seeds"));
-    const auto threads = static_cast<int>(cli.getInt("threads"));
+        cli.getIntInRange("seeds", 1, 1000000));
+    const auto threads = static_cast<int>(
+        cli.getIntInRange("threads", 0, sim::kMaxWorkers));
 
     const Code72 paper(sec2becPaperMatrix(), Code72::adjacentPairs());
     const double paper_rate = paper.nonAligned2bMiscorrectionRate();

@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 
 #include "codes/hsiao.hpp"
 #include "codes/linear_code.hpp"
@@ -25,6 +26,7 @@
 #include "common/table.hpp"
 #include "ecc/binary_scheme.hpp"
 #include "faultsim/evaluator.hpp"
+#include "sim/campaign.hpp"
 #include "sim/report.hpp"
 
 using namespace gpuecc;
@@ -95,10 +97,11 @@ main(int argc, char** argv)
     cli.parse(argc, argv,
               "Ablation: SEC-DED byte-error SDC sensitivity to the "
               "Hsiao column arrangement.");
-    const int arrangements =
-        static_cast<int>(cli.getInt("arrangements"));
+    const int arrangements = static_cast<int>(cli.getIntInRange(
+        "arrangements", 1, std::numeric_limits<int>::max()));
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed"));
-    const auto threads = static_cast<int>(cli.getInt("threads"));
+    const auto threads = static_cast<int>(
+        cli.getIntInRange("threads", 0, sim::kMaxWorkers));
 
     std::printf("byte-error SDC of non-interleaved SEC-DED by Hsiao "
                 "column arrangement\n(exhaustive over all multi-bit "

@@ -61,7 +61,8 @@ main(int argc, char** argv)
 
     // Our HBM2 point from a simulated campaign.
     beam::CampaignConfig cfg;
-    cfg.runs = static_cast<int>(cli.getInt("runs"));
+    cfg.runs =
+        static_cast<int>(cli.getIntInRange("runs", 1, beam::kMaxRuns));
     beam::Campaign campaign(cfg);
     campaign.runInBeam();
     const auto result = beam::classifyLog(campaign.log());

@@ -29,7 +29,8 @@ main(int argc, char** argv)
               "Regenerate Figure 3 (intermittent error experiments).");
 
     CampaignConfig cfg;
-    cfg.runs = static_cast<int>(cli.getInt("runs"));
+    cfg.runs =
+        static_cast<int>(cli.getIntInRange("runs", 1, kMaxRuns));
     cfg.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     Campaign campaign(cfg);
 

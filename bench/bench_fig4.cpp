@@ -28,7 +28,8 @@ main(int argc, char** argv)
     cli.parse(argc, argv, "Regenerate Figure 4 (soft error patterns).");
 
     CampaignConfig cfg;
-    cfg.runs = static_cast<int>(cli.getInt("runs"));
+    cfg.runs =
+        static_cast<int>(cli.getIntInRange("runs", 1, kMaxRuns));
     cfg.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     Campaign campaign(cfg);
     campaign.runInBeam();

@@ -16,6 +16,7 @@
 #include "common/table.hpp"
 #include "ecc/registry.hpp"
 #include "faultsim/permanent.hpp"
+#include "sim/campaign.hpp"
 #include "sim/report.hpp"
 
 using namespace gpuecc;
@@ -60,10 +61,12 @@ main(int argc, char** argv)
     cli.parse(argc, argv,
               "Graceful degradation under permanent pin/wordline "
               "faults (DCE/DUE/SDC %).");
-    const auto trials =
-        static_cast<std::uint64_t>(cli.getInt("trials"));
+    // Up to 2^20 chunks of 4096 trials per cell.
+    const auto trials = static_cast<std::uint64_t>(
+        cli.getIntInRange("trials", 1, std::int64_t{1} << 32));
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed"));
-    const auto threads = static_cast<int>(cli.getInt("threads"));
+    const auto threads = static_cast<int>(
+        cli.getIntInRange("threads", 0, sim::kMaxWorkers));
 
     sim::JsonWriter json;
     json.beginObject();

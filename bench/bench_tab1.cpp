@@ -32,7 +32,8 @@ main(int argc, char** argv)
               "Regenerate Table 1 (soft error pattern probabilities).");
 
     CampaignConfig cfg;
-    cfg.runs = static_cast<int>(cli.getInt("runs"));
+    cfg.runs =
+        static_cast<int>(cli.getIntInRange("runs", 1, kMaxRuns));
     cfg.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     Campaign campaign(cfg);
     campaign.runInBeam();

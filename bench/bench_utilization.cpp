@@ -34,7 +34,8 @@ main(int argc, char** argv)
 
     for (const double util : {0.25, 0.5, 0.75, 1.0}) {
         CampaignConfig cfg;
-        cfg.runs = static_cast<int>(cli.getInt("runs"));
+        cfg.runs =
+            static_cast<int>(cli.getIntInRange("runs", 1, kMaxRuns));
         cfg.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
         cfg.micro.utilization = util;
         Campaign campaign(cfg);

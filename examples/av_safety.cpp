@@ -16,6 +16,7 @@
 #include "common/table.hpp"
 #include "ecc/registry.hpp"
 #include "faultsim/evaluator.hpp"
+#include "faultsim/shard.hpp"
 #include "faultsim/weighted.hpp"
 #include "reliability/system.hpp"
 
@@ -45,8 +46,8 @@ main(int argc, char** argv)
 
     TextTable table({"scheme", "SDC FIT/vehicle", "ASIL-D?",
                      "fleet SDC/day", "fleet DUE/day"});
-    const auto samples =
-        static_cast<std::uint64_t>(cli.getInt("samples"));
+    const auto samples = static_cast<std::uint64_t>(cli.getIntInRange(
+        "samples", 0, static_cast<std::int64_t>(kMaxSampledSamples)));
     for (const auto& scheme : paperSchemes()) {
         Evaluator ev(*scheme);
         const WeightedOutcome w =

@@ -43,7 +43,8 @@ main(int argc, char** argv)
         obs::startTrace(trace_path);
 
     CampaignConfig cfg;
-    cfg.runs = static_cast<int>(cli.getInt("runs"));
+    cfg.runs =
+        static_cast<int>(cli.getIntInRange("runs", 1, kMaxRuns));
     cfg.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
 
     std::printf("== In the beam ==\n");

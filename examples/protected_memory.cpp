@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 
 #include "beam/events.hpp"
 #include "common/cli.hpp"
@@ -17,6 +18,7 @@
 #include "common/table.hpp"
 #include "ecc/protected_memory.hpp"
 #include "ecc/registry.hpp"
+#include "hbm2/geometry.hpp"
 
 using namespace gpuecc;
 using namespace gpuecc::beam;
@@ -31,10 +33,13 @@ main(int argc, char** argv)
     cli.parse(argc, argv,
               "Protected-memory soak test under beam-style events.");
 
-    const auto num_events =
-        static_cast<std::uint64_t>(cli.getInt("events"));
+    const auto num_events = static_cast<std::uint64_t>(cli.getIntInRange(
+        "events", 0, std::numeric_limits<std::int64_t>::max()));
+    // At most the one HBM2 stack the events are drawn on.
     const auto num_entries =
-        static_cast<std::uint64_t>(cli.getInt("entries"));
+        static_cast<std::uint64_t>(cli.getIntInRange(
+            "entries", 1,
+            static_cast<std::int64_t>(hbm2::entries_per_stack)));
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed"));
 
     TextTable table({"scheme", "events absorbed", "corrected reads",

@@ -27,6 +27,14 @@
 namespace gpuecc {
 namespace beam {
 
+/**
+ * Most microbenchmark runs a campaign may ask for. A campaign keeps an
+ * accumulation sample per run and every logged mismatch, so the run
+ * count bounds its memory; this is over a thousand times the benches'
+ * defaults (200-800 runs).
+ */
+constexpr int kMaxRuns = 1000000;
+
 /** Everything needed to run one campaign. */
 struct CampaignConfig
 {

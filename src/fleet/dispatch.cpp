@@ -16,17 +16,6 @@ namespace gpuecc::sim::fleet {
 
 namespace {
 
-/** Id of the fleet.units_completed counter, registered once. */
-obs::MetricId
-unitsCompletedMetric()
-{
-    // Register before the liaison threads exist — the same
-    // register-before-spawn contract the campaign metrics follow.
-    static const obs::MetricId id =
-        obs::metrics().counter("fleet.units_completed");
-    return id;
-}
-
 /** Add @p value to the counter @p name in @p counters. */
 void
 accumulate(std::vector<std::pair<std::string, std::uint64_t>>& counters,
@@ -148,7 +137,6 @@ FleetDispatch::create(const CampaignSpec& spec)
     auto impl = std::make_unique<Impl>();
     impl->max_attempts = std::max(1, spec.fleet_max_unit_attempts);
 
-    unitsCompletedMetric();
     impl->campaign_span = std::make_unique<obs::TraceSpan>(
         "fleet-campaign", "campaign");
 
@@ -340,7 +328,6 @@ FleetDispatch::completeUnit(const WorkerMessage& msg,
             e.counts);
         unit_trials += e.counts.trials;
     }
-    obs::metrics().add(unitsCompletedMetric());
 
     // Host credit rides the same settled-exactly-once gate as the
     // tallies, so a duplicated delivery can never double-count a
@@ -414,8 +401,10 @@ FleetDispatch::finishInProcess()
     while (!interruptRequested() &&
            waitClaim(u, Clock::duration::zero())) {
         const auto dispatch_at = Clock::now();
+        std::uint64_t retries = 0;
         const WorkerMessage msg =
-            evaluateUnit(d.plan(), d.units[u], -1, arena);
+            evaluateUnit(d.plan(), d.units[u], -1, arena, retries);
+        d.core->addRetries(retries);
         if (msg.kind == WorkerMessage::Kind::unit_error) {
             failUnit(u, msg.message);
             continue;
@@ -497,11 +486,17 @@ FleetDispatch::finalize()
         std::lock_guard<std::mutex> lock(d.state_mutex);
         // timing.fleet: the fault counters, and every row but the
         // in-process fallback's as the per-host audit trail. The
-        // fault counters also join the campaign counters, followed by
-        // each row's series fleet.host.<label>.<name>: its units,
-        // shards and trials, then the counters it shipped.
+        // campaign counters gain fleet.units_completed — the rows'
+        // unit credit, which is settled exactly once per unit — and
+        // the fault counters, followed by each row's series
+        // fleet.host.<label>.<name>: its units, shards and trials,
+        // then the counters it shipped.
         result.fleet = d.telemetry;
         std::vector<obs::CounterValue>& counters = result.metrics.counters;
+        std::uint64_t units_completed = 0;
+        for (const Impl::HostSlot& slot : d.hosts)
+            units_completed += slot.row.units;
+        counters.push_back({"fleet.units_completed", units_completed});
         for (const obs::FleetFaultCounter& c : obs::kFleetFaultCounters)
             counters.push_back({c.metric, d.telemetry.*c.field});
         for (const Impl::HostSlot& slot : d.hosts) {

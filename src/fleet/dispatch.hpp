@@ -15,8 +15,8 @@
  * once, here: one obs::FleetWorkerRecord per host (credit, shipped
  * counters, how it ended), the fault counters of
  * obs::FleetTelemetry, and — through the campaign core — shard and
- * trial progress. timing.fleet and the fleet.host.<label>.* series
- * are both rendered from it at finalize.
+ * trial progress. timing.fleet, fleet.units_completed and the
+ * fleet.host.<label>.* series are all rendered from it at finalize.
  *
  * The queue is a deque under the dispatcher's state mutex, plus a
  * condition variable: an idle liaison blocks in waitClaim and wakes
@@ -197,9 +197,10 @@ class FleetDispatch
      * Stop the clocks, flush the final checkpoint, drop failed
      * schemes, fill timing.fleet (its worker_records are the ledger's
      * rows, minus the in-process fallback's) and the fleet.* counters —
-     * the fault counters, then per row its units, shards, trials and
-     * shipped counters as fleet.host.<label>.<name> — and return the
-     * campaign result. Call once, after all liaisons joined.
+     * fleet.units_completed (the rows' unit credit) and the fault
+     * counters, then per row its units, shards, trials and shipped
+     * counters as fleet.host.<label>.<name> — and return the campaign
+     * result. Call once, after all liaisons joined.
      */
     CampaignResult finalize();
 

@@ -179,23 +179,23 @@ runFleetService(const CampaignSpec& spec)
             (void)writeAllFd(H.write_fd, encodeShutdownLine(), 1000);
             // Read until the worker closes its end. Its unit in
             // flight, if any, was requeued, so what it still sends is
-            // discarded; a worker silent past the heartbeat budget
-            // hangs, and is killed rather than waited on.
+            // discarded. The heartbeat budget runs from the shutdown
+            // line: a worker not gone by then, silent or still beating
+            // through a long (or endless) unit, is killed rather than
+            // waited on.
+            const auto shutdown_at = Clock::now();
             for (;;) {
                 Result<std::string> line = H.reader->readLine(kPollMs);
-                if (line.ok()) {
-                    last_heard = Clock::now();
-                    continue;
-                }
                 if (line.status().code() == ErrorCode::notFound)
                     break;
-                if (!isDeadlineExpired(line.status())) {
+                if (!line.ok() && !isDeadlineExpired(line.status())) {
                     lose(nullptr, line.status().toString());
                     return;
                 }
-                if (elapsedMs(last_heard) >= heartbeat_ms) {
+                if (elapsedMs(shutdown_at) >= heartbeat_ms) {
                     dispatch.noteHeartbeatExpiry();
-                    lose(nullptr, "heartbeats stopped after shutdown");
+                    lose(nullptr, "still running a heartbeat budget "
+                                  "after its shutdown line");
                     return;
                 }
             }

@@ -10,7 +10,6 @@
 
 #include "common/status.hpp"
 #include "common/subprocess.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/chaos.hpp"
 
@@ -18,7 +17,7 @@ namespace gpuecc::sim::fleet {
 
 WorkerMessage
 evaluateUnit(const CampaignPlan& plan, const WorkUnit& unit, int worker,
-             ShardBatchArena& arena)
+             ShardBatchArena& arena, std::uint64_t& retries)
 {
     WorkerMessage out;
     out.unit = unit.unit;
@@ -27,7 +26,8 @@ evaluateUnit(const CampaignPlan& plan, const WorkUnit& unit, int worker,
     const auto start = std::chrono::steady_clock::now();
     for (std::uint64_t i = unit.first_task;
          i < unit.first_task + unit.task_count; ++i) {
-        Result<OutcomeCounts> counts = plan.evaluateTask(i, arena);
+        Result<OutcomeCounts> counts =
+            plan.evaluateTask(i, arena, retries);
         if (!counts.ok()) {
             out.kind = WorkerMessage::Kind::unit_error;
             out.message = counts.status().message();
@@ -84,14 +84,6 @@ fleetWorkerMain(const CampaignPlan& plan, int worker, int read_fd,
     ShardBatchArena arena;
     std::uint64_t units_done = 0;
 
-    // Telemetry shipping: the metrics this host accrues per unit are
-    // shipped as deltas against this rolling baseline, so the
-    // dispatcher can re-aggregate them host-labelled without ever
-    // double-counting.
-    obs::MetricsRegistry& reg = obs::metrics();
-    reg.flushThisThread();
-    obs::MetricsSnapshot metrics_baseline = reg.snapshot();
-
     for (;;) {
         Result<std::string> line = in.readLine();
         if (line.status().code() == ErrorCode::notFound)
@@ -115,28 +107,26 @@ fleetWorkerMain(const CampaignPlan& plan, int worker, int read_fd,
         chaosOnFleetUnitStart(worker, unit.unit, units_done);
 
         const std::uint64_t start_us = obs::traceNowUs();
-        WorkerMessage result = evaluateUnit(plan, unit, worker, arena);
+        std::uint64_t retries = 0;
+        WorkerMessage result =
+            evaluateUnit(plan, unit, worker, arena, retries);
         ++units_done;
         const bool failed = result.kind == WorkerMessage::Kind::unit_error;
 
         // Ship telemetry *before* the unit's settlement line: the
         // liaison awaiting that settlement is guaranteed to still be
         // reading, so the last unit's telemetry can never be lost to
-        // a liaison that shuts down right after the final result.
+        // a liaison that shuts down right after the final result. The
+        // unit's retries are its one counter (the dispatcher adds
+        // them up host-labelled), sent only when there were any.
         {
             WorkerMessage telemetry;
             telemetry.kind = WorkerMessage::Kind::telemetry;
             telemetry.worker = worker;
             telemetry.unit = unit.unit;
-            reg.flushThisThread();
-            obs::MetricsSnapshot now = reg.snapshot();
-            const obs::MetricsSnapshot delta =
-                now.since(metrics_baseline);
-            metrics_baseline = std::move(now);
-            for (const obs::CounterValue& c : delta.counters) {
-                if (c.value > 0)
-                    telemetry.counters.emplace_back(c.name, c.value);
-            }
+            if (retries > 0)
+                telemetry.counters.emplace_back(kShardRetriesCounter,
+                                                retries);
             if (!failed) {
                 SpanRecord span;
                 span.name = "unit " + std::to_string(unit.unit);

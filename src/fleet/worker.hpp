@@ -29,10 +29,12 @@ constexpr int kWorkerProtocolExit = 3;
  * evaluator, run by forked workers and by the dispatcher's in-process
  * rung alike. Returns a result message for @p worker (tallies in plan
  * order, busy time; no fingerprint), or a unit_error carrying the
- * first task failure — the caller fails the unit's cell.
+ * first task failure — the caller fails the unit's cell. Shard-task
+ * retries are added to @p retries.
  */
 WorkerMessage evaluateUnit(const CampaignPlan& plan, const WorkUnit& unit,
-                           int worker, ShardBatchArena& arena);
+                           int worker, ShardBatchArena& arena,
+                           std::uint64_t& retries);
 
 /**
  * Child-process main loop of forked local worker @p worker: serve

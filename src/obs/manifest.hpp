@@ -113,7 +113,8 @@ struct FleetTelemetry
     std::uint64_t workers_lost = 0;
     /** Hosts retired by the in-flight unit deadline. */
     std::uint64_t worker_timeouts = 0;
-    /** Hosts retired for silence (missed heartbeats). */
+    /** Hosts retired for silence (missed heartbeats), or for still
+        running a heartbeat budget after their shutdown line. */
     std::uint64_t heartbeat_expiries = 0;
     ///@}
     /** One row per forked worker, in fork order. */

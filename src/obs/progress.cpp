@@ -1,6 +1,7 @@
 #include "obs/progress.hpp"
 
 #include <cstdio>
+#include <utility>
 
 #include <unistd.h>
 
@@ -85,9 +86,8 @@ formatProgressLine(const ProgressSample& sample)
     return line;
 }
 
-ProgressReporter::ProgressReporter(ProgressMode mode,
-                                   const ProgressTotals& totals)
-    : totals_(totals)
+ProgressReporter::ProgressReporter(ProgressMode mode, Sampler sampler)
+    : sampler_(std::move(sampler))
 {
     switch (mode) {
       case ProgressMode::off:
@@ -110,38 +110,6 @@ ProgressReporter::~ProgressReporter()
     stop();
 }
 
-ProgressSample
-ProgressReporter::sampleNow() const
-{
-    ProgressSample sample;
-    sample.totals = totals_;
-    sample.shards_done =
-        shards_done_.load(std::memory_order_relaxed);
-    sample.trials_done =
-        trials_done_.load(std::memory_order_relaxed);
-    sample.schemes_done =
-        schemes_done_.load(std::memory_order_relaxed);
-    const double elapsed =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start_)
-            .count();
-    if (elapsed > 0.0 && sample.trials_done > 0) {
-        sample.trials_per_second =
-            static_cast<double>(sample.trials_done) / elapsed;
-    }
-    // ETA extrapolates from shards, the unit whose total is exact.
-    if (elapsed > 0.0 && sample.shards_done > 0) {
-        sample.eta_seconds =
-            sample.totals.shards > sample.shards_done
-                ? static_cast<double>(sample.totals.shards -
-                                      sample.shards_done) *
-                      elapsed /
-                      static_cast<double>(sample.shards_done)
-                : 0.0;
-    }
-    return sample;
-}
-
 void
 ProgressReporter::renderLoop()
 {
@@ -151,7 +119,26 @@ ProgressReporter::renderLoop()
                           [this] { return stopping_; });
         if (stopping_)
             return;
-        const std::string line = formatProgressLine(sampleNow());
+        ProgressSample sample = sampler_();
+        const double elapsed =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start_)
+                .count();
+        if (elapsed > 0.0 && sample.trials_done > 0) {
+            sample.trials_per_second =
+                static_cast<double>(sample.trials_done) / elapsed;
+        }
+        // ETA extrapolates from shards, the unit whose total is exact.
+        if (elapsed > 0.0 && sample.shards_done > 0) {
+            sample.eta_seconds =
+                sample.totals.shards > sample.shards_done
+                    ? static_cast<double>(sample.totals.shards -
+                                          sample.shards_done) *
+                          elapsed /
+                          static_cast<double>(sample.shards_done)
+                    : 0.0;
+        }
+        const std::string line = formatProgressLine(sample);
         std::lock_guard<std::mutex> log_lock(logMutex());
         std::fputs("\r", stderr);
         std::fputs(line.c_str(), stderr);

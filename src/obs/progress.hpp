@@ -2,23 +2,23 @@
  * @file
  * Live campaign progress on one rewritten stderr line.
  *
- * The reporter owns a background render thread that samples atomic
- * completion counters every ~500 ms and redraws a single status line
- * (percent done, shards, schemes, trials/s, ETA) in place. The hot
- * path — shardDone() from a pool worker — is two relaxed atomic adds,
- * so progress reporting cannot perturb campaign determinism or
- * measurably slow the shard kernel. The reporter registers a log
- * pre-line hook so any warn()/inform() clears the status line before
- * printing, then the next render repaints it.
+ * The reporter owns a background render thread that reads the
+ * campaign's own counts through a sampler every ~500 ms and redraws a
+ * single status line (percent done, shards, schemes, trials/s, ETA)
+ * in place. It keeps no counts of its own, so the shard hot path
+ * never touches it and progress reporting cannot perturb campaign
+ * determinism. The reporter registers a log pre-line hook so any
+ * warn()/inform() clears the status line before printing, then the
+ * next render repaints it.
  */
 
 #ifndef GPUECC_OBS_PROGRESS_HPP
 #define GPUECC_OBS_PROGRESS_HPP
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -60,12 +60,20 @@ struct ProgressSample
 /** Pure formatter for one status line (exposed for tests). */
 std::string formatProgressLine(const ProgressSample& sample);
 
-/** Renders the live line; safe to drive from many threads. */
+/** Renders the live line from the campaign's own counts. */
 class ProgressReporter
 {
   public:
+    /**
+     * Reads the campaign's totals and numerators (the reporter adds
+     * the rate and ETA). Called on the render thread while the
+     * campaign runs, so it may read only what is safe to read
+     * concurrently.
+     */
+    using Sampler = std::function<ProgressSample()>;
+
     /** Starts the render thread iff the mode (and TTY) says so. */
-    ProgressReporter(ProgressMode mode, const ProgressTotals& totals);
+    ProgressReporter(ProgressMode mode, Sampler sampler);
 
     ProgressReporter(const ProgressReporter&) = delete;
     ProgressReporter& operator=(const ProgressReporter&) = delete;
@@ -76,52 +84,14 @@ class ProgressReporter
     /** True when a render thread is live. */
     bool enabled() const { return enabled_; }
 
-    /** Record one finished shard worth @p trials samples. */
-    void shardDone(std::uint64_t trials)
-    {
-        if (!enabled_)
-            return;
-        shards_done_.fetch_add(1, std::memory_order_relaxed);
-        trials_done_.fetch_add(trials, std::memory_order_relaxed);
-    }
-
-    /**
-     * Record @p shards shards settled without running any trials — a
-     * failed cell's units skipped at claim time, a poison unit
-     * retired at the requeue cap. Without these the fleet status line
-     * freezes short of 100% whenever a unit retires through a failure
-     * path instead of completing.
-     */
-    void shardsSkipped(std::uint64_t shards)
-    {
-        if (!enabled_)
-            return;
-        shards_done_.fetch_add(shards, std::memory_order_relaxed);
-    }
-
-    /** Record one scheme fully evaluated. */
-    void schemeDone()
-    {
-        if (!enabled_)
-            return;
-        schemes_done_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     /** Join the render thread and erase the status line. */
     void stop();
 
-    /** The counters as one consistent sample (exposed for tests). */
-    ProgressSample sample() const { return sampleNow(); }
-
   private:
     void renderLoop();
-    ProgressSample sampleNow() const;
 
-    ProgressTotals totals_;
+    Sampler sampler_;
     bool enabled_ = false;
-    std::atomic<std::uint64_t> shards_done_{0};
-    std::atomic<std::uint64_t> trials_done_{0};
-    std::atomic<std::uint64_t> schemes_done_{0};
     std::chrono::steady_clock::time_point start_;
     std::mutex stop_mutex_;
     std::condition_variable stop_cv_;

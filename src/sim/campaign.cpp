@@ -95,17 +95,12 @@ CampaignRunner::run() const
 
 namespace {
 
-/** Id of the campaign.shard_micros histogram. */
-obs::MetricId
-shardMicrosMetric()
+/** An empty campaign.shard_micros histogram: µs per shard task. */
+obs::HistogramValue
+shardMicrosHistogram()
 {
-    // Registration happens here, on the first campaign's calling
-    // thread, before any pool exists — the register-before-spawn
-    // contract the lock-free metric hot path relies on.
-    static const obs::MetricId id = obs::metrics().histogram(
-        "campaign.shard_micros",
-        {100, 1000, 10000, 100000, 1000000, 10000000});
-    return id;
+    return {"campaign.shard_micros",
+            {100, 1000, 10000, 100000, 1000000, 10000000}};
 }
 
 } // namespace
@@ -120,8 +115,6 @@ CampaignRunner::tryRun() const
     if (spec_.fleet_workers > 0)
         return fleet::runFleetService(spec_);
 
-    const obs::MetricId shard_micros = shardMicrosMetric();
-    obs::MetricsRegistry& reg = obs::metrics();
     obs::TraceSpan campaign_span("campaign", "campaign");
 
     const int threads = ThreadPool::resolveThreadCount(spec_.threads);
@@ -139,15 +132,16 @@ CampaignRunner::tryRun() const
         core.restore(entry);
     core.start();
 
-    // Per-worker execution state: the batched kernel's SoA scratch
-    // plus one tally accumulator per cell, all in one cache-line-
-    // aligned WorkerArena slot so no two workers ever write the same
-    // line on the hot path. Created with the pool (below); the body
-    // reaches it through this pointer.
+    // Per-worker execution state: the batched kernel's SoA scratch,
+    // one tally accumulator per cell and the worker's shard_micros
+    // buckets, all in one cache-line-aligned WorkerArena slot so no
+    // two workers ever write the same line on the hot path. Created
+    // with the pool (below); the body reaches it through this pointer.
     struct WorkerState
     {
         ShardBatchArena batch;
         std::vector<OutcomeCounts> cells;
+        obs::HistogramValue shard_micros = shardMicrosHistogram();
     };
     WorkerArena<WorkerState>* worker_states = nullptr;
 
@@ -180,9 +174,11 @@ CampaignRunner::tryRun() const
 
         const auto shard_start = std::chrono::steady_clock::now();
         WorkerState& ws = worker_states->local();
+        std::uint64_t retries = 0;
         std::vector<Result<OutcomeCounts>> counts =
-            plan.evaluateGroup(group, ws.batch);
+            plan.evaluateGroup(group, ws.batch, retries);
         const auto shard_stop = std::chrono::steady_clock::now();
+        core.addRetries(retries);
         // Each task is charged an equal share of the group's time:
         // one shard_micros observation per task, and the per-scheme
         // busy seconds split the same way.
@@ -195,16 +191,17 @@ CampaignRunner::tryRun() const
                 core.fail(cell, 1, counts[k].status().message());
                 continue;
             }
-            // Tallies land in the worker's own aligned accumulator.
+            // Tallies and timings land in the worker's own aligned
+            // accumulators.
             ws.cells[cell].merge(counts[k].value());
-            // Telemetry: thread-local metric shards only.
-            reg.observe(shard_micros, task_us);
+            ws.shard_micros.observe(task_us);
             core.complete({{i, counts[k].value()}}, task_us,
                           shard_start, shard_stop);
         }
     };
 
     CampaignResult& result = core.result();
+    obs::HistogramValue shard_micros = shardMicrosHistogram();
     {
         obs::TraceSpan span("evaluate", "campaign");
         ThreadPool pool(threads);
@@ -235,10 +232,13 @@ CampaignRunner::tryRun() const
                 if (cells[c].trials > 0)
                     result.cells[c].counts.merge(cells[c]);
             }
+            shard_micros.merge(states.at(w).shard_micros);
         }
         worker_states = nullptr;
     }
-    return core.finish();
+    CampaignResult finished = core.finish();
+    finished.metrics.histograms.push_back(std::move(shard_micros));
+    return finished;
 }
 
 } // namespace gpuecc::sim

@@ -16,15 +16,6 @@ namespace gpuecc::sim {
 
 namespace {
 
-/** campaign.shard_retries, counted by every evaluation path. */
-obs::MetricId
-shardRetriesMetric()
-{
-    static const obs::MetricId id =
-        obs::metrics().counter("campaign.shard_retries");
-    return id;
-}
-
 void
 atomicMin(std::atomic<std::uint64_t>& slot, std::uint64_t value)
 {
@@ -54,10 +45,6 @@ CampaignPlan::build(const std::vector<std::string>& scheme_ids,
                     std::uint64_t chunk,
                     std::vector<CampaignError>& skipped)
 {
-    // Register before any evaluating thread exists — the
-    // register-before-spawn contract of the lock-free metric path.
-    shardRetriesMetric();
-
     CampaignPlan plan;
     plan.patterns = patterns;
     plan.samples = samples;
@@ -122,7 +109,8 @@ CampaignPlan::checkTally(std::uint64_t task,
 
 std::vector<Result<OutcomeCounts>>
 CampaignPlan::evaluateGroup(std::span<const std::uint64_t> group,
-                            ShardBatchArena& arena) const
+                            ShardBatchArena& arena,
+                            std::uint64_t& retries) const
 {
     const std::uint64_t j = group.front() % groupCount();
     const Shard& shard = tasks[j].shard;
@@ -167,7 +155,7 @@ CampaignPlan::evaluateGroup(std::span<const std::uint64_t> group,
         if (out[k].ok())
             continue;
         const std::uint64_t task = group[k];
-        obs::metrics().add(shardRetriesMetric());
+        ++retries;
         warn("campaign: shard task " + std::to_string(task) +
              " failed (" + out[k].status().message() +
              "); retrying once");
@@ -186,10 +174,10 @@ CampaignPlan::evaluateGroup(std::span<const std::uint64_t> group,
 }
 
 Result<OutcomeCounts>
-CampaignPlan::evaluateTask(std::uint64_t task,
-                           ShardBatchArena& arena) const
+CampaignPlan::evaluateTask(std::uint64_t task, ShardBatchArena& arena,
+                           std::uint64_t& retries) const
 {
-    return std::move(evaluateGroup({&task, 1}, arena).front());
+    return std::move(evaluateGroup({&task, 1}, arena, retries).front());
 }
 
 /** Per-scheme clocks; µs since evaluation start. */
@@ -218,17 +206,6 @@ CampaignCore::create(const CampaignSpec& spec, Driver driver,
     auto core = std::unique_ptr<CampaignCore>(new CampaignCore());
     CampaignCore& c = *core;
     c.name_ = driver == Driver::fleet ? "fleet" : "campaign";
-    obs::MetricsRegistry& reg = obs::metrics();
-    c.shards_completed_ = reg.counter(c.name_ + ".shards_completed");
-    c.trials_ = reg.counter(c.name_ + ".trials");
-    c.checkpoint_flushes_ = reg.counter(c.name_ + ".checkpoint_flushes");
-    c.checkpoint_failures_ =
-        reg.counter(c.name_ + ".checkpoint_failures");
-    c.schemes_dropped_ = reg.counter(c.name_ + ".schemes_dropped");
-    // Flush this thread first so the baseline holds everything older
-    // runs recorded and since() isolates exactly this run's activity.
-    reg.flushThisThread();
-    c.metrics_baseline_ = reg.snapshot();
 
     CampaignResult& result = c.result_;
     result.spec = spec;
@@ -344,21 +321,15 @@ CampaignCore::start()
     }
     // The progress denominator and the per-scheme countdowns cover
     // only the work this run will evaluate (restored tasks excluded).
-    obs::ProgressTotals totals;
-    totals.schemes = plan_.schemes.size();
     for (std::uint64_t i = 0; i < plan_.tasks.size(); ++i) {
         if (restored_[i] != 0)
             continue;
         clocks_[plan_.schemeOf(i)].pending.fetch_add(
             1, std::memory_order_relaxed);
-        ++totals.shards;
+        ++planned_;
     }
-    progress_ =
-        std::make_unique<obs::ProgressReporter>(result_.spec.progress, totals);
-    for (std::size_t s = 0; s < plan_.schemes.size(); ++s) {
-        if (clocks_[s].pending.load(std::memory_order_relaxed) == 0)
-            progress_->schemeDone(); // fully restored from checkpoint
-    }
+    progress_ = std::make_unique<obs::ProgressReporter>(
+        result_.spec.progress, [this] { return progress(); });
     cpu_start_ =
         obs::processCpuSeconds() + obs::processChildrenCpuSeconds();
     start_at_ = Clock::now();
@@ -368,52 +339,38 @@ CampaignCore::start()
 }
 
 void
-CampaignCore::settle(std::size_t scheme, std::uint64_t tasks)
-{
-    if (clocks_[scheme].pending.fetch_sub(
-            tasks, std::memory_order_relaxed) == tasks)
-        progress_->schemeDone();
-}
-
-void
 CampaignCore::complete(const std::vector<CheckpointEntry>& entries,
                        std::uint64_t busy_us, Clock::time_point began,
                        Clock::time_point ended)
 {
     if (entries.empty())
         return;
-    // Telemetry: relaxed atomics only — nothing here can reorder work
-    // or touch the tallies.
-    const std::size_t scheme = plan_.schemeOf(entries.front().task);
-    SchemeClock& clock = clocks_[scheme];
+    // The clock is the one count of this run's evaluated tasks and
+    // trials. Relaxed atomics only: nothing here can reorder work or
+    // touch the tallies.
+    SchemeClock& clock = clocks_[plan_.schemeOf(entries.front().task)];
     std::uint64_t trials = 0;
-    for (const CheckpointEntry& e : entries) {
+    for (const CheckpointEntry& e : entries)
         trials += e.counts.trials;
-        progress_->shardDone(e.counts.trials);
-    }
-    obs::MetricsRegistry& reg = obs::metrics();
-    reg.add(shards_completed_, entries.size());
-    reg.add(trials_, trials);
     clock.busy_us.fetch_add(busy_us, std::memory_order_relaxed);
     clock.trials.fetch_add(trials, std::memory_order_relaxed);
     clock.shards.fetch_add(entries.size(), std::memory_order_relaxed);
     atomicMin(clock.first_us, microsBetween(start_at_, began));
     atomicMax(clock.last_us, microsBetween(start_at_, ended));
-    settle(scheme, entries.size());
+    clock.pending.fetch_sub(entries.size(), std::memory_order_relaxed);
 
-    bool wake_writer = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (checkpointing_) {
+    if (checkpointing_) {
+        bool wake_writer = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
             for (const CheckpointEntry& e : entries)
                 ledger_[e.task] = e.counts;
             wake_writer = !std::exchange(dirty_, true);
         }
-        fresh_completed_ += entries.size();
-        chaosOnTaskDone(fresh_completed_);
+        if (wake_writer)
+            writer_wake_.notify_one();
     }
-    if (wake_writer)
-        writer_wake_.notify_one();
+    chaosOnTaskDone(completedTasks());
 }
 
 void
@@ -431,8 +388,46 @@ CampaignCore::fail(std::size_t cell, std::uint64_t tasks,
 void
 CampaignCore::skip(std::size_t cell, std::uint64_t tasks)
 {
-    progress_->shardsSkipped(tasks);
-    settle(cell / plan_.patterns.size(), tasks);
+    clocks_[cell / plan_.patterns.size()].pending.fetch_sub(
+        tasks, std::memory_order_relaxed);
+}
+
+void
+CampaignCore::addRetries(std::uint64_t retries)
+{
+    if (retries == 0)
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    shard_retries_ += retries;
+}
+
+obs::ProgressSample
+CampaignCore::progress() const
+{
+    obs::ProgressSample sample;
+    sample.totals = {planned_, plan_.schemes.size()};
+    std::uint64_t pending = 0;
+    for (std::size_t s = 0; s < plan_.schemes.size(); ++s) {
+        const SchemeClock& clock = clocks_[s];
+        const std::uint64_t left =
+            clock.pending.load(std::memory_order_relaxed);
+        pending += left;
+        sample.trials_done +=
+            clock.trials.load(std::memory_order_relaxed);
+        if (left == 0)
+            ++sample.schemes_done;
+    }
+    sample.shards_done = planned_ - pending;
+    return sample;
+}
+
+std::uint64_t
+CampaignCore::completedTasks() const
+{
+    std::uint64_t tasks = 0;
+    for (std::size_t s = 0; s < plan_.schemes.size(); ++s)
+        tasks += clocks_[s].shards.load(std::memory_order_relaxed);
+    return tasks;
 }
 
 double
@@ -456,7 +451,7 @@ CampaignCore::flush()
         {
             std::lock_guard<std::mutex> lock(mutex_);
             dirty_ = false;
-            ckpt.done.reserve(result_.resumed_shards + fresh_completed_);
+            ckpt.done.reserve(result_.resumed_shards + completedTasks());
             for (std::uint64_t i = 0; i < ledger_.size(); ++i) {
                 if (ledger_[i])
                     ckpt.done.push_back({i, *ledger_[i]});
@@ -469,8 +464,8 @@ CampaignCore::flush()
         // exception would end the process, so it fails the write.
         s = Status::internalError(std::string("checkpoint: ") + e.what());
     }
-    obs::metrics().add(s.ok() ? checkpoint_flushes_
-                              : checkpoint_failures_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(s.ok() ? checkpoint_flushes_ : checkpoint_failures_);
     return s;
 }
 
@@ -528,7 +523,6 @@ CampaignCore::stopWriter()
         stop_writer_ = true;
     }
     writer_wake_.notify_one();
-    // Joining also merges the writer's metric shard into the registry.
     writer_.join();
 }
 
@@ -550,6 +544,8 @@ CampaignCore::finish()
     // Per-scheme timings, plus one synthetic aggregate span per scheme
     // on its own trace track (evaluation interleaves schemes, so
     // per-shard spans alone don't show scheme-level overlap).
+    std::uint64_t shards_completed = 0;
+    std::uint64_t trials = 0;
     for (std::size_t s = 0; s < plan_.schemes.size(); ++s) {
         const SchemeClock& clock = clocks_[s];
         obs::SchemeTiming timing;
@@ -560,6 +556,8 @@ CampaignCore::finish()
             1e-6;
         timing.shards = clock.shards.load(std::memory_order_relaxed);
         timing.trials = clock.trials.load(std::memory_order_relaxed);
+        shards_completed += timing.shards;
+        trials += timing.trials;
         const std::uint64_t first =
             clock.first_us.load(std::memory_order_relaxed);
         const std::uint64_t last =
@@ -586,10 +584,9 @@ CampaignCore::finish()
             warn(name_ + ": final checkpoint write failed: " +
                  s.toString());
         } else if (result.interrupted) {
-            std::lock_guard<std::mutex> lock(mutex_);
             inform(name_ + ": interrupted; " +
                    std::to_string(result.resumed_shards +
-                                  fresh_completed_) +
+                                  shards_completed) +
                    " of " + std::to_string(plan_.tasks.size()) +
                    " shard tasks checkpointed to " +
                    result_.spec.checkpoint_path);
@@ -600,31 +597,31 @@ CampaignCore::finish()
 
     // Drop failed schemes from the cells and record them — a partial
     // scheme row would read as a measured (wrong) rate.
-    obs::MetricsRegistry& reg = obs::metrics();
-    if (!cell_errors_.empty()) {
-        std::set<std::string> failed;
-        for (const auto& [cell, message] : cell_errors_) {
-            const CampaignCell& c = result.cells[cell];
-            if (failed.insert(c.scheme_id).second) {
-                warn(name_ + ": dropping scheme " + c.scheme_id + ": " +
-                     message);
-                reg.add(schemes_dropped_);
-                result.errors.push_back(
-                    {c.scheme_id,
-                     "unavailable: pattern " +
-                         patternInfo(c.pattern).label + ": " + message});
-            }
+    std::set<std::string> failed;
+    for (const auto& [cell, message] : cell_errors_) {
+        const CampaignCell& c = result.cells[cell];
+        if (failed.insert(c.scheme_id).second) {
+            warn(name_ + ": dropping scheme " + c.scheme_id + ": " +
+                 message);
+            result.errors.push_back(
+                {c.scheme_id, "unavailable: pattern " +
+                                  patternInfo(c.pattern).label + ": " +
+                                  message});
         }
-        std::erase_if(result.cells, [&](const CampaignCell& c) {
-            return failed.count(c.scheme_id) != 0;
-        });
     }
+    std::erase_if(result.cells, [&](const CampaignCell& c) {
+        return failed.count(c.scheme_id) != 0;
+    });
 
-    // Evaluating threads flushed their metric shards when they exited;
-    // flush the calling thread's and delta the baseline so the result
-    // reports only this run's activity.
-    reg.flushThisThread();
-    result.metrics = reg.snapshot().since(metrics_baseline_);
+    // Each counter comes from the one place its fact is counted.
+    result.metrics.counters = {
+        {name_ + ".shards_completed", shards_completed},
+        {name_ + ".trials", trials},
+        {name_ + ".checkpoint_flushes", checkpoint_flushes_},
+        {name_ + ".checkpoint_failures", checkpoint_failures_},
+        {name_ + ".schemes_dropped", failed.size()},
+        {kShardRetriesCounter, shard_retries_},
+    };
     return std::move(result);
 }
 

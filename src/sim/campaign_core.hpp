@@ -14,12 +14,12 @@
  *    once on its own, otherwise report the failure so the caller
  *    fails that task's cell.
  *  - CampaignCore: the result under construction, per-cell failure
- *    bookkeeping, per-scheme clocks and progress, the checkpoint
- *    ledger (restore, a group-commit writer thread, final flush,
- *    warn-once) and the finalize step (per-scheme timings and
- *    synthetic trace spans, dropping failed schemes, the metrics
- *    delta). The runner and the dispatcher own one each; the worker
- *    needs only the plan.
+ *    bookkeeping, per-scheme clocks (which the progress line reads),
+ *    the checkpoint ledger (restore, a group-commit writer thread,
+ *    final flush, warn-once) and the finalize step (per-scheme
+ *    timings and synthetic trace spans, dropping failed schemes, the
+ *    run's counters). The runner and the dispatcher own one each; the
+ *    worker needs only the plan.
  */
 
 #ifndef GPUECC_SIM_CAMPAIGN_CORE_HPP
@@ -53,6 +53,12 @@ microsBetween(std::chrono::steady_clock::time_point origin,
         std::chrono::duration_cast<std::chrono::microseconds>(at - origin)
             .count());
 }
+
+/**
+ * The counter shard-task retries are reported under, by every driver
+ * and by each forked worker for its own units.
+ */
+inline constexpr char kShardRetriesCounter[] = "campaign.shard_retries";
 
 /** One plan entry: a shard of one (scheme, pattern) cell. */
 struct PlanTask
@@ -127,18 +133,20 @@ struct CampaignPlan
      * once for all of them: every task runs its chaos hook, then the
      * tasks whose hook passed share one kernel call. A task whose
      * hook threw, or every task of a kernel call that threw, is
-     * retried once on its own (counted in campaign.shard_retries and
-     * warned about). A second failure comes back as that task's
-     * error; the caller fails its cell, never the campaign. Element k
-     * of the result belongs to group[k].
+     * retried once on its own (added to @p retries, the caller's
+     * campaign.shard_retries count, and warned about). A second
+     * failure comes back as that task's error; the caller fails its
+     * cell, never the campaign. Element k of the result belongs to
+     * group[k].
      */
     std::vector<Result<OutcomeCounts>>
     evaluateGroup(std::span<const std::uint64_t> group,
-                  ShardBatchArena& arena) const;
+                  ShardBatchArena& arena, std::uint64_t& retries) const;
 
     /** evaluateGroup of the one task @p task. */
     Result<OutcomeCounts> evaluateTask(std::uint64_t task,
-                                       ShardBatchArena& arena) const;
+                                       ShardBatchArena& arena,
+                                       std::uint64_t& retries) const;
 };
 
 /**
@@ -163,11 +171,11 @@ class CampaignCore
     };
 
     /**
-     * Snapshot the metrics baseline, plan @p spec (skipping broken
-     * schemes into result().errors) with the chunk sized for
-     * @p width evaluation slots, and open the checkpoint ledger.
-     * @p threads is the thread count the result reports. Errors are
-     * unrecoverable setup problems (no usable scheme).
+     * Plan @p spec (skipping broken schemes into result().errors)
+     * with the chunk sized for @p width evaluation slots, and open
+     * the checkpoint ledger. @p threads is the thread count the
+     * result reports. Errors are unrecoverable setup problems (no
+     * usable scheme).
      */
     static Result<std::unique_ptr<CampaignCore>>
     create(const CampaignSpec& spec, Driver driver, int threads,
@@ -214,12 +222,12 @@ class CampaignCore
 
     /**
      * Account freshly evaluated @p entries of one cell, evaluated
-     * between @p began and @p ended with @p busy_us of compute: the
-     * <driver>.shards_completed and <driver>.trials counters, scheme
-     * clocks, progress, the checkpoint ledger and the chaos
-     * kill-point. Never touches the disk: a ledger that turns dirty
-     * wakes the checkpoint writer. Cell tallies are the driver's to
-     * merge.
+     * between @p began and @p ended with @p busy_us of compute: its
+     * scheme clock (which the progress line and the
+     * <driver>.shards_completed and <driver>.trials counters read),
+     * the checkpoint ledger and the chaos kill-point. Never touches
+     * the disk: a ledger that turns dirty wakes the checkpoint
+     * writer. Cell tallies are the driver's to merge.
      */
     void complete(const std::vector<CheckpointEntry>& entries,
                   std::uint64_t busy_us, Clock::time_point began,
@@ -235,6 +243,17 @@ class CampaignCore
     /** Dispose of @p tasks pending tasks of @p cell unevaluated. */
     void skip(std::size_t cell, std::uint64_t tasks);
 
+    /** Count @p retries shard-task retries (campaign.shard_retries). */
+    void addRetries(std::uint64_t retries);
+
+    /**
+     * Progress read from the scheme clocks: the tasks this run
+     * evaluates, those settled (planned minus pending), the trials
+     * evaluated, and the schemes with nothing pending. Safe from any
+     * thread; the progress line samples it.
+     */
+    obs::ProgressSample progress() const;
+
     /** Seconds since start() (0 before it). */
     double elapsedSeconds() const;
 
@@ -242,20 +261,22 @@ class CampaignCore
      * Join the checkpoint writer, stop the clocks, flush the final
      * checkpoint (complete on success, partial on interrupt), fill
      * the per-scheme timings and their synthetic trace spans, drop
-     * failed schemes and take the metrics delta. Returns the result;
-     * call once.
+     * failed schemes and render the run's counters:
+     * <driver>.{shards_completed, trials, checkpoint_flushes,
+     * checkpoint_failures, schemes_dropped} and
+     * campaign.shard_retries. Returns the result; call once.
      */
     CampaignResult finish();
 
   private:
     CampaignCore() = default;
 
-    /** Account @p tasks disposed tasks of @p scheme. */
-    void settle(std::size_t scheme, std::uint64_t tasks);
+    /** Tasks evaluated by this run (restored ones excluded). */
+    std::uint64_t completedTasks() const;
     /**
      * Write the ledger: snapshot it in plan order under mutex_ (which
      * must not be held), then serialize and save it unlocked. Counts
-     * <driver>.checkpoint_flushes or _failures on the calling thread.
+     * the write in checkpoint_flushes_ or checkpoint_failures_.
      */
     Status flush();
     /**
@@ -270,18 +291,15 @@ class CampaignCore
     struct SchemeClock;
 
     std::string name_; //!< "campaign" or "fleet"
-    obs::MetricId shards_completed_ = 0;
-    obs::MetricId trials_ = 0;
-    obs::MetricId checkpoint_flushes_ = 0;
-    obs::MetricId checkpoint_failures_ = 0;
-    obs::MetricId schemes_dropped_ = 0;
     CampaignPlan plan_;
     /** The result under construction; result_.spec is the spec run. */
     CampaignResult result_;
-    obs::MetricsSnapshot metrics_baseline_;
     std::vector<char> restored_;
     std::unique_ptr<std::atomic<bool>[]> cell_failed_;
     std::unique_ptr<SchemeClock[]> clocks_;
+    /** Tasks this run evaluates; fixed by start(). */
+    std::uint64_t planned_ = 0;
+    /** Samples clocks_, so it is declared (and destroyed) after. */
     std::unique_ptr<obs::ProgressReporter> progress_;
     bool resume_found_ = false;
     bool started_ = false;
@@ -303,8 +321,9 @@ class CampaignCore
     bool dirty_ = false;
     bool stop_writer_ = false;
     std::condition_variable writer_wake_;
-    /** Tasks evaluated by this run (excludes restored ones). */
-    std::uint64_t fresh_completed_ = 0;
+    std::uint64_t checkpoint_flushes_ = 0;
+    std::uint64_t checkpoint_failures_ = 0;
+    std::uint64_t shard_retries_ = 0;
     std::vector<std::pair<std::size_t, std::string>> cell_errors_;
 
     /**

@@ -608,7 +608,8 @@ coreWithOneTaskCompleted(const std::string& path)
     std::unique_ptr<sim::CampaignCore> core = std::move(created).value();
     core->start();
     auto arena = std::make_unique<ShardBatchArena>();
-    const auto counts = core->plan().evaluateTask(0, *arena);
+    std::uint64_t retries = 0;
+    const auto counts = core->plan().evaluateTask(0, *arena, retries);
     if (!counts.ok())
         return nullptr;
     const auto now = std::chrono::steady_clock::now();

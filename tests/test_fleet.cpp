@@ -356,11 +356,12 @@ TEST(FleetWorker, ServesUnitsFromItsInheritedPlan)
     EXPECT_EQ(result.checkpoint.fingerprint, plan.fingerprint());
     ASSERT_EQ(result.checkpoint.done.size(), 2u);
     ShardBatchArena arena;
+    std::uint64_t retries = 0;
     for (std::size_t k = 0; k < 2; ++k) {
         const sim::CheckpointEntry& got = result.checkpoint.done[k];
         EXPECT_EQ(got.task, unit.first_task + k);
         const Result<OutcomeCounts> want =
-            plan.evaluateTask(got.task, arena);
+            plan.evaluateTask(got.task, arena, retries);
         ASSERT_TRUE(want.ok()) << want.status().toString();
         EXPECT_EQ(got.counts.trials, want.value().trials);
         EXPECT_EQ(got.counts.dce, want.value().dce);
@@ -849,6 +850,119 @@ TEST(Fleet, InterruptWithAHungWorkerStillDrains)
     EXPECT_GT(resumed.resumed_shards, 0u);
     expectCellsIdentical(reference, resumed);
     std::remove(path.c_str());
+}
+
+TEST(Fleet, InterruptWithABusyWorkerStillDrains)
+{
+    if (!subprocessSupported())
+        GTEST_SKIP() << "fork/pipe unavailable";
+
+    // Each cell is one unit: worker 0 gets the fast exhaustive 1-bit
+    // cell, worker 1 a 1 Entry cell that would run for minutes. The
+    // interrupt lands as the fast unit settles (all its tasks settle
+    // at once, so kill_after=1 is its task count). Worker 1 is alive
+    // and keeps beating, but it is busy and reads no shutdown line:
+    // the drain must kill it one heartbeat budget after the shutdown
+    // line instead of waiting for its unit to end.
+    sim::CampaignSpec spec;
+    spec.scheme_ids = {"duet"};
+    spec.patterns = {ErrorPattern::oneBit, ErrorPattern::wholeEntry};
+    spec.samples = std::uint64_t{1} << 29;
+    spec.seed = 0xB0557;
+    spec.fleet_workers = 2;
+    spec.fleet_unit_shards = std::uint64_t{1} << 40;
+    spec.fleet_heartbeat_timeout_s = 1.0;
+    sim::ChaosSpec chaos;
+    chaos.kill_after = 1;
+    sim::setChaosSpec(chaos);
+    const auto start = std::chrono::steady_clock::now();
+    const sim::CampaignResult interrupted =
+        sim::CampaignRunner(spec).run();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    sim::clearChaosSpec();
+    clearInterrupt(); // the simulated SIGTERM latches until cleared
+    ASSERT_TRUE(interrupted.interrupted);
+    EXPECT_LT(seconds, 8.0);
+
+    ASSERT_EQ(interrupted.fleet.units, 2u);
+    ASSERT_EQ(interrupted.fleet.worker_records.size(), 2u);
+    const obs::FleetWorkerRecord& fast =
+        interrupted.fleet.worker_records[0];
+    const obs::FleetWorkerRecord& busy =
+        interrupted.fleet.worker_records[1];
+    EXPECT_FALSE(fast.lost);
+    EXPECT_EQ(fast.exit_code, 0);
+    EXPECT_EQ(fast.units, 1u);
+    EXPECT_TRUE(busy.lost);
+    EXPECT_EQ(busy.exit_code, 128 + SIGKILL);
+    EXPECT_EQ(busy.units, 0u);
+    EXPECT_EQ(interrupted.fleet.requeues, 1u);
+    ASSERT_GT(busy.pid, 0);
+    const int signalled = ::kill(static_cast<pid_t>(busy.pid), 0);
+    const int kill_errno = errno;
+    EXPECT_EQ(signalled, -1);
+    EXPECT_EQ(kill_errno, ESRCH) << "the busy worker was not reaped";
+}
+
+TEST(Fleet, EachRunReportsOnlyItsOwnCounters)
+{
+    // A fleet run, an in-process run and a fleet run again, in one
+    // process: every result holds exactly its own driver's counters,
+    // with none another run left behind.
+    sim::CampaignSpec spec = smallSpec();
+    spec.fleet_workers = 2;
+    const sim::CampaignResult fleet1 = sim::CampaignRunner(spec).run();
+    spec.fleet_workers = 0;
+    const sim::CampaignResult local = sim::CampaignRunner(spec).run();
+    spec.fleet_workers = 2;
+    const sim::CampaignResult fleet2 = sim::CampaignRunner(spec).run();
+
+    const auto names = [](const sim::CampaignResult& r) {
+        std::vector<std::string> out;
+        for (const obs::CounterValue& c : r.metrics.counters) {
+            if (c.name.rfind("fleet.host.", 0) != 0)
+                out.push_back(c.name);
+        }
+        return out;
+    };
+    const std::vector<std::string> local_names = {
+        "campaign.shards_completed",   "campaign.trials",
+        "campaign.checkpoint_flushes", "campaign.checkpoint_failures",
+        "campaign.schemes_dropped",    "campaign.shard_retries"};
+    EXPECT_EQ(names(local), local_names);
+    ASSERT_EQ(local.metrics.histograms.size(), 1u);
+    EXPECT_EQ(local.metrics.histograms[0].name, "campaign.shard_micros");
+    EXPECT_EQ(local.metrics.histograms[0].total(), local.shards);
+    EXPECT_EQ(local.metrics.findCounter("campaign.shards_completed")->value,
+              local.shards);
+    EXPECT_EQ(local.metrics.findCounter("campaign.trials")->value,
+              local.totalTrials());
+
+    const std::vector<std::string> fleet_names = {
+        "fleet.shards_completed",   "fleet.trials",
+        "fleet.checkpoint_flushes", "fleet.checkpoint_failures",
+        "fleet.schemes_dropped",    "campaign.shard_retries",
+        "fleet.units_completed",    "fleet.units_requeued",
+        "fleet.units_poisoned",     "fleet.duplicate_results",
+        "fleet.workers_lost",       "fleet.worker_timeouts",
+        "fleet.heartbeat_expiries"};
+    for (const sim::CampaignResult* fleet : {&fleet1, &fleet2}) {
+        EXPECT_EQ(names(*fleet), fleet_names);
+        EXPECT_TRUE(fleet->metrics.histograms.empty());
+        EXPECT_EQ(fleet->metrics.findCounter("campaign.shards_completed"),
+                  nullptr);
+        EXPECT_EQ(fleet->metrics.findHistogram("campaign.shard_micros"),
+                  nullptr);
+        EXPECT_EQ(fleet->metrics.findCounter("fleet.shards_completed")
+                      ->value,
+                  fleet->shards);
+        EXPECT_EQ(fleet->metrics.findCounter("fleet.units_completed")
+                      ->value,
+                  fleet->fleet.units);
+        expectLedgerViewsAgree(*fleet);
+    }
 }
 
 TEST(Fleet, WorkerSpansLieInsideTheFleetEvaluateSpan)

@@ -1,17 +1,20 @@
 /**
  * @file
- * Telemetry-layer tests: metrics registry semantics (bucket
- * boundaries, shard-merge determinism — also under the chaos
- * harness), manifest JSON round-trips with exact 64-bit counters,
- * trace-file structure, progress formatting, thread-pool telemetry,
- * and checkpoint manifest embedding.
+ * Telemetry-layer tests: metric values (bucket boundaries,
+ * per-worker merge determinism, campaign counters — also under the
+ * chaos harness), manifest JSON round-trips with exact 64-bit
+ * counters, trace-file structure, progress formatting and sampling,
+ * thread-pool telemetry, and checkpoint manifest embedding.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -20,6 +23,7 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "sim/campaign.hpp"
+#include "sim/campaign_core.hpp"
 #include "sim/chaos.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/json.hpp"
@@ -39,91 +43,56 @@ tempPath(const std::string& name)
 
 TEST(Metrics, HistogramBucketBoundariesAreInclusiveUpper)
 {
-    obs::MetricsRegistry& reg = obs::metrics();
-    reg.resetValues();
-    const obs::MetricId h =
-        reg.histogram("test.bounds", {10, 100, 1000});
+    obs::HistogramValue h("test.bounds", {10, 100, 1000});
+    ASSERT_EQ(h.counts.size(), 4u);
+    EXPECT_EQ(h.total(), 0u);
 
     // Bucket i holds v <= bounds[i] (and > bounds[i-1]); the last
     // bucket overflows.
     for (const std::uint64_t v : {0ull, 10ull})
-        reg.observe(h, v);
+        h.observe(v);
     for (const std::uint64_t v : {11ull, 100ull})
-        reg.observe(h, v);
-    reg.observe(h, 1000);
+        h.observe(v);
+    h.observe(1000);
     for (const std::uint64_t v : {1001ull, 123456789ull})
-        reg.observe(h, v);
-    reg.flushThisThread();
+        h.observe(v);
 
-    const obs::MetricsSnapshot snap = reg.snapshot();
-    const obs::HistogramValue* hv = snap.findHistogram("test.bounds");
-    ASSERT_NE(hv, nullptr);
-    ASSERT_EQ(hv->bounds.size(), 3u);
-    ASSERT_EQ(hv->counts.size(), 4u);
-    EXPECT_EQ(hv->counts[0], 2u);
-    EXPECT_EQ(hv->counts[1], 2u);
-    EXPECT_EQ(hv->counts[2], 1u);
-    EXPECT_EQ(hv->counts[3], 2u);
-    EXPECT_EQ(hv->total(), 7u);
-}
-
-TEST(Metrics, CounterRegistrationIsIdempotent)
-{
-    obs::MetricsRegistry& reg = obs::metrics();
-    EXPECT_EQ(reg.counter("test.same"), reg.counter("test.same"));
-    EXPECT_EQ(reg.histogram("test.same_h", {1, 2}),
-              reg.histogram("test.same_h", {1, 2}));
-}
-
-TEST(Metrics, SinceIsolatesOneRunsActivity)
-{
-    obs::MetricsRegistry& reg = obs::metrics();
-    reg.resetValues();
-    const obs::MetricId c = reg.counter("test.delta");
-    reg.add(c, 7);
-    reg.flushThisThread();
-    const obs::MetricsSnapshot baseline = reg.snapshot();
-
-    reg.add(c, 5);
-    reg.flushThisThread();
-    const obs::MetricsSnapshot now = reg.snapshot();
-    const obs::MetricsSnapshot delta = now.since(baseline);
-
-    EXPECT_EQ(now.findCounter("test.delta")->value, 12u);
-    EXPECT_EQ(delta.findCounter("test.delta")->value, 5u);
+    EXPECT_EQ(h.counts[0], 2u);
+    EXPECT_EQ(h.counts[1], 2u);
+    EXPECT_EQ(h.counts[2], 1u);
+    EXPECT_EQ(h.counts[3], 2u);
+    EXPECT_EQ(h.total(), 7u);
 }
 
 TEST(Metrics, ShardMergeIsDeterministicAcrossThreadCounts)
 {
-    obs::MetricsRegistry& reg = obs::metrics();
-    const obs::MetricId c = reg.counter("test.merge_counter");
-    const obs::MetricId h = reg.histogram("test.merge_hist", {50});
-
-    // The same work distributed over 1, 2, and 5 threads must merge
-    // to identical totals: per-counter addition and per-bucket
-    // addition are associative and commutative.
-    std::vector<obs::MetricsSnapshot> runs;
+    // The runner's scheme: each pool worker counts into its own
+    // WorkerArena slot, and the slots merge in worker order after the
+    // pool joins. The same work over 1, 2 and 5 threads must merge to
+    // identical totals: per-counter and per-bucket addition are
+    // associative and commutative.
+    struct Slot
+    {
+        std::uint64_t counter = 0;
+        obs::HistogramValue hist{"test.merge_hist", {50}};
+    };
     for (const int threads : {1, 2, 5}) {
-        reg.resetValues();
-        {
-            ThreadPool pool(threads);
-            pool.parallelFor(100, [&](std::uint64_t i) {
-                reg.add(c, i);
-                reg.observe(h, i);
-            });
+        ThreadPool pool(threads);
+        WorkerArena<Slot> slots(pool);
+        pool.parallelFor(100, [&](std::uint64_t i) {
+            Slot& slot = slots.local();
+            slot.counter += i;
+            slot.hist.observe(i);
+        });
+        std::uint64_t counter = 0;
+        obs::HistogramValue hist("test.merge_hist", {50});
+        for (int w = 0; w < slots.size(); ++w) {
+            counter += slots.at(w).counter;
+            hist.merge(slots.at(w).hist);
         }
-        // Pool workers merged at thread exit; the caller-thread
-        // worker merges here.
-        reg.flushThisThread();
-        runs.push_back(reg.snapshot());
-    }
-    for (const obs::MetricsSnapshot& snap : runs) {
-        EXPECT_EQ(snap.findCounter("test.merge_counter")->value,
-                  4950u);
-        EXPECT_EQ(snap.findHistogram("test.merge_hist")->counts[0],
-                  51u);
-        EXPECT_EQ(snap.findHistogram("test.merge_hist")->counts[1],
-                  49u);
+        EXPECT_EQ(counter, 4950u) << threads << " threads";
+        EXPECT_EQ(hist.counts[0], 51u) << threads << " threads";
+        EXPECT_EQ(hist.counts[1], 49u) << threads << " threads";
     }
 }
 
@@ -403,12 +372,79 @@ TEST(Progress, FormatLineShowsCountsRateAndEta)
 
 TEST(Progress, OffModeIsInertAndSafe)
 {
-    obs::ProgressReporter reporter(obs::ProgressMode::off,
-                                   {10, 2});
+    int samples = 0;
+    obs::ProgressReporter reporter(obs::ProgressMode::off, [&] {
+        ++samples;
+        return obs::ProgressSample{};
+    });
     EXPECT_FALSE(reporter.enabled());
-    reporter.shardDone(100);
-    reporter.schemeDone();
+    reporter.stop();
     reporter.stop(); // idempotent
+    EXPECT_EQ(samples, 0); // no render thread, nothing sampled
+}
+
+TEST(Progress, SamplesTheCampaignClocks)
+{
+    // The progress line keeps no counts: it reads the core's scheme
+    // clocks, which complete, skip and fail update. Settled is
+    // planned minus pending, trials come from the clocks, and a
+    // scheme is done once nothing of it is pending. A second thread
+    // samples throughout, as the render thread does; the run's
+    // counters come from the same clocks.
+    sim::CampaignSpec spec;
+    spec.scheme_ids = {"duet", "trio"};
+    spec.patterns = {ErrorPattern::oneBeat};
+    spec.samples = 4096;
+    spec.chunk = 1024;
+    auto created = sim::CampaignCore::create(
+        spec, sim::CampaignCore::Driver::inProcess, 1, 1);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    sim::CampaignCore& core = *created.value();
+    core.start();
+    // Scheme-major: tasks 0-3 are duet's, 4-7 trio's.
+    const std::uint64_t tasks = core.plan().tasks.size();
+    ASSERT_EQ(tasks, 8u);
+    obs::ProgressSample s = core.progress();
+    EXPECT_EQ(s.totals.shards, tasks);
+    EXPECT_EQ(s.totals.schemes, 2u);
+    EXPECT_EQ(s.shards_done, 0u);
+    EXPECT_EQ(s.trials_done, 0u);
+    EXPECT_EQ(s.schemes_done, 0u);
+
+    std::atomic<bool> done{false};
+    std::thread sampler([&] {
+        while (!done.load()) {
+            const obs::ProgressSample now = core.progress();
+            EXPECT_LE(now.shards_done, tasks);
+            EXPECT_LE(now.schemes_done, 2u);
+        }
+    });
+    OutcomeCounts counts;
+    counts.trials = 1024;
+    counts.dce = 1024;
+    const auto now = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < 4; ++i)
+        core.complete({{i, counts}}, 10, now, now);
+    // trio: one task completes, then its cell fails with three left.
+    core.complete({{4, counts}}, 10, now, now);
+    core.fail(core.plan().tasks[5].cell, 3, "test failure");
+    done.store(true);
+    sampler.join();
+
+    s = core.progress();
+    EXPECT_EQ(s.shards_done, tasks);
+    EXPECT_EQ(s.trials_done, 5u * 1024);
+    EXPECT_EQ(s.schemes_done, 2u);
+
+    const sim::CampaignResult r = core.finish();
+    const auto counter = [&](const std::string& name) {
+        const obs::CounterValue* c = r.metrics.findCounter(name);
+        return c != nullptr ? c->value : ~std::uint64_t{0};
+    };
+    EXPECT_EQ(counter("campaign.shards_completed"), 5u);
+    EXPECT_EQ(counter("campaign.trials"), 5u * 1024);
+    EXPECT_EQ(counter("campaign.schemes_dropped"), 1u);
+    EXPECT_EQ(counter("campaign.shard_retries"), 0u);
 }
 
 TEST(PoolTelemetry, StatsCountTasksAndWallTime)

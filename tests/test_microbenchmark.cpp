@@ -9,8 +9,8 @@
 #include "ecc/registry.hpp"
 #include "faultsim/shard.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
+#include "sim/campaign_core.hpp"
 
 namespace gpuecc {
 namespace beam {
@@ -112,10 +112,11 @@ TEST(Campaign, FluenceAccounting)
 }
 
 /**
- * The telemetry added per shard (a disabled trace span, two counter
- * bumps, one histogram observation, one progress update) must cost
- * under 2% of one shard kernel invocation — the campaign hot path
- * stays measurement-grade with telemetry compiled in.
+ * The accounting the runner adds per shard task (a disabled trace
+ * span, the retry report, one shard_micros observation and the core's
+ * complete step: scheme clock, progress countdown, chaos kill-point)
+ * must cost under 2% of one shard kernel invocation — the campaign
+ * hot path stays measurement-grade with telemetry compiled in.
  */
 TEST(Telemetry, ShardInstrumentationOverheadBelowTwoPercent)
 {
@@ -134,30 +135,40 @@ TEST(Telemetry, ShardInstrumentationOverheadBelowTwoPercent)
             .count();
     ASSERT_GT(counts.trials, 0u);
 
-    obs::MetricsRegistry& reg = obs::metrics();
-    const obs::MetricId shards_done =
-        reg.counter("overhead_test.shards");
-    const obs::MetricId trials = reg.counter("overhead_test.trials");
-    const obs::MetricId micros =
-        reg.histogram("overhead_test.micros", {100, 1000, 10000});
-    obs::ProgressReporter progress(obs::ProgressMode::off, {});
+    // One plan task per repetition, so each is completed once.
+    constexpr int kReps = 20000;
+    sim::CampaignSpec spec;
+    spec.scheme_ids = {"duet"};
+    spec.patterns = {ErrorPattern::oneBeat};
+    spec.samples = std::uint64_t{kReps} * kStreamBlockSamples;
+    spec.chunk = kStreamBlockSamples;
+    auto created = sim::CampaignCore::create(
+        spec, sim::CampaignCore::Driver::inProcess, 1, 1);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    sim::CampaignCore& core = *created.value();
+    ASSERT_EQ(core.plan().tasks.size(), std::uint64_t{kReps});
+    core.start();
+    obs::HistogramValue micros("overhead_test.micros",
+                               {100, 1000, 10000});
     ASSERT_FALSE(obs::traceEnabled());
 
-    constexpr int kReps = 20000;
     const auto bundle_start = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i) {
         obs::TraceSpan span("shard", "shard"); // disabled: no-op
-        reg.add(shards_done);
-        reg.add(trials, counts.trials);
-        reg.observe(micros, 1234);
-        progress.shardDone(counts.trials);
+        core.addRetries(0);
+        micros.observe(1234);
+        core.complete({{static_cast<std::uint64_t>(i), counts}}, 1234,
+                      bundle_start, bundle_start);
     }
     const double per_shard_bundle =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - bundle_start)
             .count() /
         kReps;
-    reg.flushThisThread();
+    EXPECT_EQ(core.finish()
+                  .metrics.findCounter("campaign.shards_completed")
+                  ->value,
+              std::uint64_t{kReps});
 
     EXPECT_LT(per_shard_bundle, 0.02 * kernel_seconds)
         << "telemetry bundle " << per_shard_bundle * 1e9
