@@ -145,6 +145,18 @@ require(bool cond, const std::string& msg)
         panic(msg);
 }
 
+/**
+ * require() for a literal message: the string is built only when the
+ * check fails, so a passing check on a hot path costs one branch and
+ * no allocation.
+ */
+inline void
+require(bool cond, const char* msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
 } // namespace gpuecc
 
 #endif // GPUECC_COMMON_LOG_HPP
