@@ -17,6 +17,12 @@
  * bounded-distance t=1 decoders of a d=5 code - and the paper's
  * distinction between them is the hardware (iterative algebraic vs
  * one-shot), which the hwmodel library captures.
+ *
+ * Both compiled decoders gather their packed syndromes through the
+ * shared per-byte table of ecc/syndrome_gather.hpp, decide from the
+ * syndromes alone (rs/decoders.hpp's fix functions), return a DUE
+ * before touching data, and extract the data of a clean or corrected
+ * entry straight from the entry's words.
  */
 
 #ifndef GPUECC_ECC_RS_SCHEME_HPP
@@ -26,8 +32,7 @@
 #include <string>
 
 #include "ecc/scheme.hpp"
-#include "gf256/gf256_vec.hpp"
-#include "rs/batch.hpp"
+#include "ecc/syndrome_gather.hpp"
 #include "rs/decoders.hpp"
 #include "rs/rs_code.hpp"
 
@@ -68,14 +73,7 @@ class InterleavedSscScheme : public EntryScheme
     EntryDecode decodeWithPinErasure(const Bits288& received,
                                      int pin) const override;
 
-    /**
-     * Batched decode on the SoA/SIMD path: symbols of all entries
-     * are gathered column-major, both codewords' syndromes are
-     * accumulated with the gf256 bulk kernels, clean entries retire
-     * on the bulk all-zero-syndrome test, and only suspects run the
-     * scalar one-shot fix. Element-wise identical to decode(); falls
-     * back to the per-entry loop under GPUECC_REFERENCE_CODEC.
-     */
+    /** decode() of each entry, with one backend dispatch per batch. */
     void decodeBatch(const Bits288* received, EntryDecode* out,
                      std::size_t n) const override;
 
@@ -85,13 +83,11 @@ class InterleavedSscScheme : public EntryScheme
 
     EntryDecode decodeFast(const Bits288& received) const;
     EntryDecode decodeReference(const Bits288& received) const;
-    void decodeBatchFast(const Bits288* received, EntryDecode* out,
-                         std::size_t n) const;
 
     RsCode code_;
     bool csc_;
-    RsSyndromePlan plan_;       //!< per-(syndrome, position) tables
-    gf256::VecIsa isa_;         //!< vector ISA fixed at construction
+    /** Byte 2c + j holds S_j of codeword c. */
+    SyndromeGather gather_;
 };
 
 /** The (36, 32) single-codeword organizations. */
@@ -129,29 +125,18 @@ class Rs3632Scheme : public EntryScheme
     EntryDecode decodeWithPinErasure(const Bits288& received,
                                      int pin) const override;
 
-    /**
-     * Batched decode on the SoA/SIMD path: the 36 physical symbol
-     * columns of all entries are gathered column-major, the four
-     * syndromes are accumulated with the gf256 bulk kernels, clean
-     * entries retire on the bulk all-zero-syndrome test, and only
-     * suspects run the scalar locator/magnitude fix. Element-wise
-     * identical to decode(); falls back to the per-entry loop under
-     * GPUECC_REFERENCE_CODEC.
-     */
+    /** decode() of each entry, with one backend dispatch per batch. */
     void decodeBatch(const Bits288* received, EntryDecode* out,
                      std::size_t n) const override;
 
   private:
     EntryDecode decodeFast(const Bits288& received) const;
     EntryDecode decodeReference(const Bits288& received) const;
-    void decodeBatchFast(const Bits288* received, EntryDecode* out,
-                         std::size_t n) const;
-    RsFix fixFromSyndromes(const std::uint8_t* s) const;
 
     RsCode code_;
     Decoder decoder_;
-    RsSyndromePlan plan_;       //!< per-(syndrome, position) tables
-    gf256::VecIsa isa_;         //!< vector ISA fixed at construction
+    /** Byte j holds S_j. */
+    SyndromeGather gather_;
 };
 
 } // namespace gpuecc

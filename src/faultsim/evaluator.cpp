@@ -50,7 +50,11 @@ Evaluator::Evaluator(const EntryScheme& scheme, std::uint64_t seed,
 OutcomeCounts
 Evaluator::evaluate(ErrorPattern pattern, std::uint64_t samples)
 {
-    const GoldenEntry golden = makeGolden(scheme_, seed_);
+    auto runShard = [this](const Shard& shard, ShardBatchArena& arena) {
+        SchemeTally tally{&scheme_, {}};
+        evaluateShardBatched({&tally, 1}, seed_, shard, arena);
+        return tally.counts;
+    };
     const std::vector<Shard> shards = planShards(
         pattern, samples,
         effectiveShardChunk(samples, kShardSamples, threads_));
@@ -58,10 +62,8 @@ Evaluator::evaluate(ErrorPattern pattern, std::uint64_t samples)
         // Inline: one arena, one accumulator, batched kernel.
         ShardBatchArena arena;
         OutcomeCounts total;
-        for (const Shard& shard : shards) {
-            total.merge(evaluateShardBatched(scheme_, golden, seed_,
-                                             shard, arena));
-        }
+        for (const Shard& shard : shards)
+            total.merge(runShard(shard, arena));
         return total;
     }
     // Parallel: per-worker cache-line-aligned arenas and tallies,
@@ -75,8 +77,7 @@ Evaluator::evaluate(ErrorPattern pattern, std::uint64_t samples)
     WorkerArena<WorkerState> states(pool);
     pool.parallelFor(shards.size(), [&](std::uint64_t i) {
         WorkerState& ws = states.local();
-        ws.counts.merge(evaluateShardBatched(scheme_, golden, seed_,
-                                             shards[i], ws.arena));
+        ws.counts.merge(runShard(shards[i], ws.arena));
     });
     OutcomeCounts total;
     for (int w = 0; w < states.size(); ++w) {

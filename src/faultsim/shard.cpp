@@ -134,18 +134,18 @@ evaluateShardBatched(std::span<SchemeTally> schemes, std::uint64_t seed,
     }
     std::size_t filled = 0;
 
-    // Drain the staged masks through the remaining pipeline stages,
-    // once per scheme: inject (word-wise XOR into the golden entry),
-    // one batch decode, then the tally sweep. Masks are tallied in
-    // draw order, but the counts are order-free anyway.
+    // Drain the staged masks through the decode and tally stages,
+    // once per scheme. Every scheme is a linear code, so a mask is
+    // decoded as the error it is, against the all-zero codeword:
+    // decode(golden ^ mask) has the same status, and its data differs
+    // from golden's exactly where decode(mask)'s data is nonzero.
+    // Masks are tallied in draw order, but the counts are order-free
+    // anyway.
     auto flush = [&] {
         if (filled == 0)
             return;
         for (SchemeTally& t : schemes) {
-            const GoldenEntry& golden = *t.golden;
-            for (std::size_t i = 0; i < filled; ++i)
-                arena.received[i] = golden.entry ^ arena.masks[i];
-            t.scheme->decodeBatch(arena.received.data(),
+            t.scheme->decodeBatch(arena.masks.data(),
                                   arena.decodes.data(), filled);
             OutcomeCounts& counts = t.counts;
             for (std::size_t i = 0; i < filled; ++i) {
@@ -153,7 +153,7 @@ evaluateShardBatched(std::span<SchemeTally> schemes, std::uint64_t seed,
                 ++counts.trials;
                 if (result.status == EntryDecode::Status::due) {
                     ++counts.due;
-                } else if (result.data == golden.data) {
+                } else if (result.data == EntryData{}) {
                     ++counts.dce;
                 } else {
                     ++counts.sdc;
@@ -202,11 +202,11 @@ evaluateShardBatched(std::span<SchemeTally> schemes, std::uint64_t seed,
 }
 
 OutcomeCounts
-evaluateShardBatched(const EntryScheme& scheme,
-                     const GoldenEntry& golden, std::uint64_t seed,
-                     const Shard& shard, ShardBatchArena& arena)
+evaluateShardBatched(const EntryScheme& scheme, const GoldenEntry&,
+                     std::uint64_t seed, const Shard& shard,
+                     ShardBatchArena& arena)
 {
-    SchemeTally tally{&scheme, &golden, {}};
+    SchemeTally tally{&scheme, {}};
     evaluateShardBatched({&tally, 1}, seed, shard, arena);
     return tally.counts;
 }

@@ -153,9 +153,6 @@ struct RunManifest
     BuildInfo build;
     int threads = 0;
     std::string codec_backend;
-    /** Dispatched gf256 vector ISA ("avx2", "ssse3", "neon",
-        "scalar"); "" for tools predating the SIMD RS path. */
-    std::string simd_isa;
     std::string chaos; //!< GPUECC_CHAOS env text, "" when unset
     std::uint64_t samples = 0;
     std::uint64_t seed = 0;

@@ -15,11 +15,17 @@
  * - decodeDsc: the (36, 32) double-symbol-correct decoder
  *   (Peterson-Gorenstein-Zierler with a Chien search), implemented as
  *   the reference the paper rejects on latency grounds.
+ *
+ * The fix* functions make the same decisions from already-computed
+ * syndromes, without allocating: the compiled codecs gather the
+ * syndromes and call them, and the differential tests diff them
+ * against the decoders above decision-for-decision.
  */
 
 #ifndef GPUECC_RS_DECODERS_HPP
 #define GPUECC_RS_DECODERS_HPP
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -77,6 +83,28 @@ RsDecode decodeDsc(const RsCode& code,
 RsDecode decodeWithErasures(const RsCode& code,
                             const std::vector<std::uint8_t>& received,
                             const std::vector<int>& erasures);
+
+/** A correction decision derived from syndromes alone. */
+struct RsFix
+{
+    RsDecode::Status status;
+    int num_errors;                    //!< positions modified (0..2)
+    std::array<int, 2> pos;            //!< code positions to patch
+    std::array<std::uint8_t, 2> mag;   //!< XOR magnitudes
+};
+
+/** decodeSscOneShot's decision from the r=2 syndromes of an n-symbol
+ *  word (returns clean when both are zero). */
+RsFix fixSscOneShot(int n, const std::uint8_t* s);
+
+/** decodeSscDsdPlus's decision from the r=4 syndromes. */
+RsFix fixSscDsdPlus(int n, const std::uint8_t* s);
+
+/** decodeDsc's decision from the r=4 syndromes. The oracle's final
+ *  isCodeword() guard is applied algebraically: the two-error fix is
+ *  accepted only if it reproduces S_2 and S_3 (S_0 and S_1 hold by
+ *  construction of the magnitudes). */
+RsFix fixDsc(int n, const std::uint8_t* s);
 
 } // namespace gpuecc
 

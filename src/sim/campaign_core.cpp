@@ -53,7 +53,7 @@ CampaignPlan::build(const std::vector<std::string>& scheme_ids,
     // decode() is const and thread-safe, so one scheme instance serves
     // every worker.
     for (const std::string& id : scheme_ids) {
-        // Covers codec (table) construction and golden derivation.
+        // Covers codec (table) construction.
         obs::TraceSpan span("codec:" + id, "codec");
         Result<std::shared_ptr<EntryScheme>> scheme = findScheme(id);
         if (!scheme.ok()) {
@@ -63,7 +63,6 @@ CampaignPlan::build(const std::vector<std::string>& scheme_ids,
             continue;
         }
         plan.schemes.push_back(scheme.value());
-        plan.goldens.push_back(makeGolden(*plan.schemes.back(), seed));
         plan.ids.push_back(id);
     }
     if (plan.schemes.empty())
@@ -126,7 +125,7 @@ CampaignPlan::evaluateGroup(std::span<const std::uint64_t> group,
         try {
             chaosOnTaskAttempt(task);
             const std::size_t s = schemeOf(task);
-            tallies.push_back({schemes[s].get(), &goldens[s], {}});
+            tallies.push_back({schemes[s].get(), {}});
             out.push_back(OutcomeCounts{});
         } catch (const std::exception& e) {
             out.push_back(Status::internalError(e.what()));
@@ -161,9 +160,9 @@ CampaignPlan::evaluateGroup(std::span<const std::uint64_t> group,
              "); retrying once");
         try {
             chaosOnTaskAttempt(task);
-            const std::size_t s = schemeOf(task);
-            out[k] = evaluateShardBatched(*schemes[s], goldens[s], seed,
-                                          shard, arena);
+            SchemeTally tally{schemes[schemeOf(task)].get(), {}};
+            evaluateShardBatched({&tally, 1}, seed, shard, arena);
+            out[k] = tally.counts;
         } catch (const std::exception& second) {
             out[k] = Status::internalError(
                 "shard task " + std::to_string(task) +

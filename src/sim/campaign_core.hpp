@@ -79,7 +79,6 @@ struct CampaignPlan
     /** Resolved scheme ids, in spec order. */
     std::vector<std::string> ids;
     std::vector<std::shared_ptr<EntryScheme>> schemes;
-    std::vector<GoldenEntry> goldens;
     std::vector<ErrorPattern> patterns;
     std::uint64_t samples = 0;
     std::uint64_t seed = 0;

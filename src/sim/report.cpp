@@ -12,7 +12,6 @@
 
 #include "common/json_escape.hpp"
 #include "common/log.hpp"
-#include "gf256/gf256_vec.hpp"
 #include "obs/trace.hpp"
 
 namespace gpuecc::sim {
@@ -182,7 +181,6 @@ campaignRunManifest(const CampaignResult& result)
     m.build = obs::buildInfo();
     m.threads = result.spec.threads;
     m.codec_backend = result.codec_backend;
-    m.simd_isa = gf256::isaName(gf256::bestIsa());
     m.chaos = obs::chaosEnvText();
     m.samples = result.spec.samples;
     m.seed = result.spec.seed;
@@ -207,7 +205,6 @@ writeRunManifest(JsonWriter& w, const obs::RunManifest& manifest)
     w.kv("hardware_threads", manifest.build.hardware_threads);
     w.kv("threads", manifest.threads);
     w.kv("codec_backend", manifest.codec_backend);
-    w.kv("simd_isa", manifest.simd_isa);
     w.kv("chaos", manifest.chaos);
     w.kv("samples", manifest.samples);
     w.kv("seed", manifest.seed);

@@ -8,13 +8,16 @@
  * cross-checks the two backends bit-for-bit: at the Code72 level over
  * every codeword-local error, and at the entry level for every
  * registered scheme over all 1- and 2-bit flips, every aligned byte
- * pattern, and seeded random sparse patterns — then once more at the
- * campaign level, where a whole sampled campaign must produce
- * identical outcome tallies under either backend.
+ * pattern, seeded random sparse patterns, and the error masks of
+ * every Table 1 pattern decoded on their own (the error domain the
+ * campaign kernel works in) — then once more at the campaign level,
+ * where a whole sampled campaign must produce identical outcome
+ * tallies under either backend.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -29,6 +32,8 @@
 #include "ecc/reconfigurable.hpp"
 #include "ecc/registry.hpp"
 #include "ecc/rs_scheme.hpp"
+#include "ecc/syndrome_gather.hpp"
+#include "faultsim/patterns.hpp"
 #include "sim/campaign.hpp"
 
 namespace gpuecc {
@@ -56,8 +61,9 @@ expectBackendsAgree(const EntryScheme& scheme, const Bits288& received)
     setCodecBackend(CodecBackend::compiled);
 
     ASSERT_EQ(fast.status, ref.status);
-    if (fast.status != EntryDecode::Status::due)
+    if (fast.status != EntryDecode::Status::due) {
         ASSERT_EQ(fast.data, ref.data);
+    }
 }
 
 class DifferentialCodec : public ::testing::TestWithParam<std::string>
@@ -174,8 +180,88 @@ TEST_P(DifferentialCodec, PinErasureDecodeIdentical)
         setCodecBackend(CodecBackend::compiled);
 
         ASSERT_EQ(fast.status, ref.status);
-        if (fast.status != EntryDecode::Status::due)
+        if (fast.status != EntryDecode::Status::due) {
             ASSERT_EQ(fast.data, ref.data);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Error-domain tier. The campaign kernel decodes each error mask
+// itself, against the all-zero codeword, so the masks of every Table
+// 1 pattern must decode identically under both backends with no
+// golden entry around them. The compiled gather walks the nonzero
+// bytes of a sparse 64-bit word and sweeps a dense one; words at that
+// switch get their own sweep.
+// ---------------------------------------------------------------------
+
+TEST_P(DifferentialCodec, ErrorMasksOfEveryPatternDecodeIdentically)
+{
+    expectBackendsAgree(*scheme_, Bits288{});
+    Rng rng(0xE2202ull);
+    for (ErrorPattern p : allErrorPatterns()) {
+        for (int i = 0; i < 1000; ++i) {
+            expectBackendsAgree(*scheme_, sampleErrorMask(p, rng));
+            if (HasFatalFailure())
+                FAIL() << patternInfo(p).label << " mask " << i;
+        }
+    }
+}
+
+TEST_P(DifferentialCodec, WordsAtTheSparseDenseSwitchDecodeIdentically)
+{
+    // Each word of the mask holds 0, kSparseWordBytes (the last count
+    // still walked), kSparseWordBytes + 1 (the first swept) or all of
+    // its nonzero bytes; the last word has 4 bytes.
+    Rng rng(0x5BA25Eull);
+    for (int trial = 0; trial < 2000; ++trial) {
+        Bits288 mask;
+        for (int w = 0; w < Bits288::numWords; ++w) {
+            const int width = w + 1 < Bits288::numWords ? 8 : 4;
+            const int counts[] = {0, kSparseWordBytes,
+                                  kSparseWordBytes + 1, width};
+            const int count =
+                std::min(width, counts[rng.nextBounded(4)]);
+            std::uint64_t word = 0;
+            for (int placed = 0; placed < count;) {
+                const int b = static_cast<int>(rng.nextBounded(width));
+                if ((word >> (8 * b)) & 0xff)
+                    continue;
+                word |= (1 + rng.nextBounded(255)) << (8 * b);
+                ++placed;
+            }
+            mask.setWord(w, word);
+        }
+        expectBackendsAgree(*scheme_, mask);
+        expectBackendsAgree(*scheme_, golden_ ^ mask);
+        if (HasFatalFailure())
+            FAIL() << "trial " << trial;
+    }
+}
+
+TEST_P(DifferentialCodec, DecodeIsLinearInTheError)
+{
+    // The property the error-domain kernel rests on: zero data
+    // encodes to the all-zero entry, and decode(golden ^ m) has the
+    // status of decode(m) and its data XOR golden's.
+    setCodecBackend(CodecBackend::compiled);
+    ASSERT_TRUE(scheme_->encode(EntryData{}).none());
+    Rng rng(0x11EA2ull);
+    for (ErrorPattern p : allErrorPatterns()) {
+        for (int i = 0; i < 1000; ++i) {
+            const Bits288 mask = sampleErrorMask(p, rng);
+            const EntryDecode injected = scheme_->decode(golden_ ^ mask);
+            const EntryDecode error = scheme_->decode(mask);
+            ASSERT_EQ(injected.status, error.status)
+                << patternInfo(p).label << " mask " << i;
+            if (error.status == EntryDecode::Status::due)
+                continue;
+            EntryData shifted = error.data;
+            for (int w = 0; w < 4; ++w)
+                shifted[w] ^= data_[w];
+            ASSERT_EQ(injected.data, shifted)
+                << patternInfo(p).label << " mask " << i;
+        }
     }
 }
 
@@ -194,7 +280,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// RS fuzz tier: the SIMD/SoA Reed-Solomon fast path vs the scalar
+// RS fuzz tier: the compiled Reed-Solomon fast path vs the scalar
 // oracle, at symbol granularity.
 //
 // The binary-level sweeps above treat every scheme uniformly; this
@@ -202,8 +288,7 @@ INSTANTIATE_TEST_SUITE_P(
 // injected per *symbol* (a physical byte for the (36,32) schemes, a
 // 4-pin x 2-beat nibble-column pair for the interleaved (18,16)
 // schemes) and every decode is triple-checked: fast single-entry,
-// fast batched (through decodeBatch, which runs the SoA/SIMD
-// kernels), and the reference oracle. Agreement covers the outcome
+// fast batched (through decodeBatch), and the reference oracle. Agreement covers the outcome
 // class, the corrected data, and — critically — *miscorrection
 // identity*: when a 2/3-symbol pattern aliases into some decoder's
 // correctable footprint, both paths must fabricate the exact same
@@ -381,7 +466,8 @@ TEST_P(RsDifferential, RandomSparseSymbolFloods)
 TEST_P(RsDifferential, RandomDataPatternsDecodeIdentically)
 {
     // The fast encode + clean decode loop over random payloads: the
-    // SoA gather must reproduce every byte of every payload.
+    // word-level data extraction must reproduce every byte of every
+    // payload.
     Rng rng(0xDA7A5ull);
     for (int trial = 0; trial < 256; ++trial) {
         const EntryData d = {rng.next64(), rng.next64(), rng.next64(),
@@ -428,8 +514,9 @@ TEST_P(RsDifferential, PinErasureDecodeFuzz)
 
             ASSERT_EQ(fast.status, ref.status)
                 << "pin=" << pin << " trial=" << trial;
-            if (fast.status != EntryDecode::Status::due)
+            if (fast.status != EntryDecode::Status::due) {
                 ASSERT_EQ(fast.data, ref.data) << "pin=" << pin;
+            }
         }
     }
 }
@@ -438,10 +525,8 @@ TEST_P(RsDifferential, BatchedDecodeMatchesReferenceElementwise)
 {
     // One big heterogeneous batch — clean entries, single-symbol
     // errors, and random floods interleaved — pushed through
-    // decodeBatch in one call, so the SoA transpose, the bulk
-    // early-out, and the suspect path are exercised against each
-    // other across tile boundaries (the batch exceeds one 256-entry
-    // tile).
+    // decodeBatch in one call, longer than one 256-entry shard
+    // batch.
     Rng rng(0xBA7C4ull);
     std::vector<Bits288> batch;
     for (int sym = 0; sym < kNumSymbols; ++sym) {
@@ -469,8 +554,9 @@ TEST_P(RsDifferential, BatchedDecodeMatchesReferenceElementwise)
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EntryDecode ref = scheme_->decode(batch[i]);
         ASSERT_EQ(out[i].status, ref.status) << "entry " << i;
-        if (ref.status != EntryDecode::Status::due)
+        if (ref.status != EntryDecode::Status::due) {
             ASSERT_EQ(out[i].data, ref.data) << "entry " << i;
+        }
     }
     setCodecBackend(CodecBackend::compiled);
 }

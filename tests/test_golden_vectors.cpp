@@ -257,11 +257,10 @@ goldenVectors()
 /**
  * Symbol-level golden vectors for the Reed-Solomon schemes: one
  * (symbol, magnitude) injection list per row, applied through each
- * organization's physical layout, with the decode outcome frozen at
- * the time the batched SIMD RS path was introduced. The rows pin the
- * outcomes across *both* codec backends and every runtime-dispatched
- * gf256 ISA (AVX2 vs SSSE3 vs NEON vs scalar must all reproduce them
- * bit-identically — the dispatch layer may never change results).
+ * organization's physical layout, with the decode outcome frozen when
+ * the rows were written. The rows pin the outcomes across *both*
+ * codec backends and through decode() and decodeBatch() alike: a
+ * rewrite of a fast path may never change results.
  * The final row of each scheme block is a deliberate miscorrection
  * (a low-weight codeword difference plus one extra symbol error):
  * the frozen *wrong* data is part of the contract.
@@ -457,10 +456,9 @@ TEST_P(GoldenVectors, RsSymbolVectorsDecodeAsCommitted)
 TEST_P(GoldenVectors, RsSymbolVectorsBatchDecodeAsCommitted)
 {
     // Every row of one scheme block through a single decodeBatch
-    // call: the SoA tile path — under whichever gf256 ISA the host
-    // dispatched — must land on the same frozen outcomes as the
-    // element-wise decode above. Rows are replicated to overflow one
-    // 256-entry tile so the partial-tile path is pinned too.
+    // call must land on the same frozen outcomes as the element-wise
+    // decode above. Rows are replicated past one 256-entry shard
+    // batch.
     std::string current_id;
     std::shared_ptr<EntryScheme> scheme;
     Bits288 golden;
