@@ -107,13 +107,16 @@ main(int argc, char** argv)
             const OutcomeCounts& counts =
                 result.counts(id, info.pattern);
             const Interval ci = counts.sdcInterval();
+            std::string interval = "[";
+            interval += formatPercent(ci.lo, 4);
+            interval += ", ";
+            interval += formatPercent(ci.hi, 4);
+            interval += "]";
             table.addRow({info.label, std::to_string(counts.trials),
                           counts.exhaustive ? "exhaustive" : "sampled",
                           formatPercent(counts.dceRate(), 4),
                           formatPercent(counts.dueRate(), 4),
-                          formatPercent(counts.sdcRate(), 4),
-                          "[" + formatPercent(ci.lo, 4) + ", " +
-                              formatPercent(ci.hi, 4) + "]"});
+                          formatPercent(counts.sdcRate(), 4), interval});
         }
         table.print();
 

@@ -17,6 +17,13 @@ namespace hw {
 
 namespace {
 
+/** A port name: @p prefix followed by a decimal index, e.g. "d17". */
+std::string
+portName(const char* prefix, int index)
+{
+    return std::string(prefix).append(std::to_string(index));
+}
+
 /** Set data bit i (0..255) of an EntryData. */
 EntryData
 unitData(int i)
@@ -181,7 +188,7 @@ buildEntryEncoder(const EntryScheme& scheme, bool share)
     Netlist nl;
     std::vector<int> data(256);
     for (int i = 0; i < 256; ++i)
-        data[i] = nl.input("d" + std::to_string(i));
+        data[i] = nl.input(portName("d", i));
 
     const auto probed = probeEncoderTerms(scheme);
     std::vector<std::vector<int>> terms;
@@ -195,7 +202,7 @@ buildEntryEncoder(const EntryScheme& scheme, bool share)
     }
     const auto outs = synthesizeXorNetwork(nl, terms, share);
     for (std::size_t i = 0; i < outs.size(); ++i)
-        nl.output("c" + std::to_string(probed[i].first), outs[i]);
+        nl.output(portName("c", probed[i].first), outs[i]);
     return nl;
 }
 
@@ -206,7 +213,7 @@ buildBinaryDecoder(const Code72& code, bool sec2bec, bool interleaved,
     Netlist nl;
     std::vector<int> phys(layout::entry_bits);
     for (int p = 0; p < layout::entry_bits; ++p)
-        phys[p] = nl.input("r" + std::to_string(p));
+        phys[p] = nl.input(portName("r", p));
 
     const EntryLayout entry_layout(interleaved
                                        ? EntryLayout::Kind::interleaved
@@ -263,7 +270,7 @@ buildBinaryDecoder(const Code72& code, bool sec2bec, bool interleaved,
                     }
                 }
             }
-            nl.output("d" + std::to_string(cw * 64 + j),
+            nl.output(portName("d", cw * 64 + j),
                       nl.gate(GateKind::xor2, bits[j], corr));
         }
 
@@ -356,7 +363,7 @@ buildSscDecoder(bool csc, bool share)
     Netlist nl;
     std::vector<int> phys(layout::entry_bits);
     for (int p = 0; p < layout::entry_bits; ++p)
-        phys[p] = nl.input("r" + std::to_string(p));
+        phys[p] = nl.input(portName("r", p));
 
     const RsCode code(18, 16);
 
@@ -416,8 +423,7 @@ buildSscDecoder(bool csc, bool share)
                 const int in =
                     phys[InterleavedSscScheme::physicalBit(cw, pos, t)];
                 const int fix = nl.gate(GateKind::and2, gated, s0[t]);
-                nl.output("d" + std::to_string(
-                              cw * 128 + (pos - 2) * 8 + t),
+                nl.output(portName("d", cw * 128 + (pos - 2) * 8 + t),
                           nl.gate(GateKind::xor2, in, fix));
             }
         }
@@ -486,7 +492,7 @@ buildDsdPlusDecoder(bool share)
     Netlist nl;
     std::vector<int> phys(layout::entry_bits);
     for (int p = 0; p < layout::entry_bits; ++p)
-        phys[p] = nl.input("r" + std::to_string(p));
+        phys[p] = nl.input(portName("r", p));
 
     const RsCode code(36, 32);
 
@@ -545,7 +551,7 @@ buildDsdPlusDecoder(bool share)
             const int in =
                 phys[8 * Rs3632Scheme::physicalByteOf(pos) + t];
             const int fix = nl.gate(GateKind::and2, gated, s[0][t]);
-            nl.output("d" + std::to_string((pos - 4) * 8 + t),
+            nl.output(portName("d", (pos - 4) * 8 + t),
                       nl.gate(GateKind::xor2, in, fix));
         }
     }

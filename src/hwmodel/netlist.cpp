@@ -315,7 +315,8 @@ Netlist::toVerilog(const std::string& module_name) const
     std::ostringstream body;
     for (std::size_t id = 0; id < nodes_.size(); ++id) {
         const Node& n = nodes_[id];
-        const std::string wire = "n" + std::to_string(id);
+        const std::string wire =
+            std::string("n").append(std::to_string(id));
         switch (n.kind) {
           case GateKind::input:
             continue;

@@ -56,12 +56,16 @@ campaignFingerprint(const std::vector<std::string>& scheme_ids,
                     std::uint64_t task_count)
 {
     std::string fp = "v1;schemes=";
-    for (std::size_t i = 0; i < scheme_ids.size(); ++i)
-        fp += (i ? "," : "") + scheme_ids[i];
+    for (std::size_t i = 0; i < scheme_ids.size(); ++i) {
+        if (i)
+            fp += ',';
+        fp += scheme_ids[i];
+    }
     fp += ";patterns=";
     for (std::size_t i = 0; i < patterns.size(); ++i) {
-        fp += (i ? "," : "") +
-              std::to_string(static_cast<int>(patterns[i]));
+        if (i)
+            fp += ',';
+        fp += std::to_string(static_cast<int>(patterns[i]));
     }
     char buf[160];
     std::snprintf(buf, sizeof(buf),

@@ -178,6 +178,19 @@ TEST(CheckpointFingerprint, NamesTheSamplerVersion)
     EXPECT_NE(fp.find(";sampler=2"), std::string::npos) << fp;
 }
 
+TEST(CheckpointFingerprint, BytesArePinned)
+{
+    // A checkpoint is resumed only by a build that renders the same
+    // fingerprint bytes, so the rendering itself is pinned.
+    EXPECT_EQ(sim::campaignFingerprint(
+                  {"duet", "ssc-dsd+"},
+                  {ErrorPattern::oneBit, ErrorPattern::wholeEntry},
+                  200000, 0x5EED, 4096, "compiled", 123),
+              "v1;schemes=duet,ssc-dsd+;patterns=0,6;samples=200000;"
+              "seed=24301;chunk=4096;block=1024;tasks=123;"
+              "backend=compiled;sampler=2");
+}
+
 // --------------------------------------------------------- save / load
 
 sim::CampaignCheckpoint

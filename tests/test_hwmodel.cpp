@@ -247,12 +247,12 @@ TEST(Circuits, LutCostHeuristicAndSimulation)
     Netlist nl;
     std::vector<int> ins;
     for (int i = 0; i < 8; ++i)
-        ins.push_back(nl.input("i" + std::to_string(i)));
+        ins.push_back(nl.input(std::string("i").append(std::to_string(i))));
     const auto rom = nl.lut(ins, 8, "square",
                             [](std::uint64_t v) { return (v * v) & 0xFF; });
     ASSERT_EQ(rom.size(), 8u);
     for (int b = 0; b < 8; ++b)
-        nl.output("r" + std::to_string(b), rom[b]);
+        nl.output(std::string("r").append(std::to_string(b)), rom[b]);
     EXPECT_DOUBLE_EQ(nl.areaAnd2(), 8 * 256 / 4.0);
     EXPECT_DOUBLE_EQ(nl.delayUnits(), 4.0 + 4.0);
 
@@ -307,8 +307,9 @@ TEST(Circuits, SscDecoderCircuitMatchesSoftwareDecoder)
         const auto [hw_due, hw_data] = runDecoder(nl, received);
         ASSERT_EQ(hw_due, sw.status == EntryDecode::Status::due)
             << "trial " << trial;
-        if (!hw_due)
+        if (!hw_due) {
             ASSERT_EQ(hw_data, sw.data) << "trial " << trial;
+        }
     }
 }
 
@@ -347,8 +348,9 @@ TEST(Circuits, DsdPlusDecoderCircuitMatchesSoftwareDecoder)
         const auto [hw_due, hw_data] = runDecoder(nl, received);
         ASSERT_EQ(hw_due, sw.status == EntryDecode::Status::due)
             << "trial " << trial;
-        if (!hw_due)
+        if (!hw_due) {
             ASSERT_EQ(hw_data, sw.data) << "trial " << trial;
+        }
     }
 }
 

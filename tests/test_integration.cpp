@@ -87,8 +87,9 @@ TEST(PaperClaims, Figure8WeightedOutcomes)
     // SSC-DSD+ has by far the lowest SDC risk (~5 orders below
     // SEC-DED).
     for (const auto& [id, w] : e.weighted) {
-        if (id != "ssc-dsd+")
+        if (id != "ssc-dsd+") {
             EXPECT_LE(dsd.sdc, w.sdc) << id;
+        }
     }
     EXPECT_LT(dsd.sdc, 1e-5);
 
@@ -112,8 +113,9 @@ TEST(PaperClaims, ByteErrorsNeverEscapeProposedSchemes)
             ev.evaluate(ErrorPattern::oneByte, 0);
         EXPECT_TRUE(byte.exhaustive);
         EXPECT_EQ(byte.sdc, 0u) << id;
-        if (std::string(id) == "trio")
+        if (std::string(id) == "trio") {
             EXPECT_EQ(byte.dceRate(), 1.0); // perfect byte correction
+        }
     }
 }
 
