@@ -9,11 +9,26 @@
 
 namespace gpuecc {
 
+namespace {
+
+/** True when @p text reads in full as a negative number ("-1"). */
+bool
+isNegativeNumber(const char* text)
+{
+    if (text[0] != '-')
+        return false;
+    char* end = nullptr;
+    std::strtod(text, &end);
+    return end != text && *end == '\0';
+}
+
+} // namespace
+
 void
 Cli::addFlag(const std::string& name, const std::string& def,
              const std::string& help)
 {
-    flags_[name] = {def, help};
+    flags_[name] = {def, def, help};
 }
 
 std::string
@@ -25,7 +40,7 @@ Cli::usageText(const std::string& program_desc) const
         if (padded.size() < 20)
             padded.resize(20, ' ');
         out += "  --" + padded + " " + flag.help + " (default: " +
-               flag.value + ")\n";
+               flag.def + ")\n";
     }
     return out;
 }
@@ -50,7 +65,8 @@ Cli::tryParse(int argc, char** argv)
         if (eq != std::string::npos) {
             name = arg.substr(0, eq);
             value = arg.substr(eq + 1);
-        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+        } else if (i + 1 < argc && (argv[i + 1][0] != '-' ||
+                                    isNegativeNumber(argv[i + 1]))) {
             value = argv[++i];
         } else {
             value = "true"; // boolean switch form

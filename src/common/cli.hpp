@@ -3,7 +3,9 @@
  * Minimal command-line flag parser for the bench and example binaries.
  *
  * Supports "--name value" and "--name=value" forms plus boolean
- * switches. Unknown flags, positional arguments, and malformed
+ * switches; a value may be a negative number ("--runs -1"), so that
+ * range checks, not the positional-argument check, reject it.
+ * Unknown flags, positional arguments, and malformed
  * numeric values are user errors: parse() prints the problem plus the
  * usage text and exits nonzero (never an uncaught exception, never a
  * silently ignored flag); tryParse()/tryGetInt()/tryGetDouble()
@@ -66,7 +68,10 @@ class Cli
     /** Whether the last tryParse/parse saw --help or -h. */
     bool helpRequested() const { return help_requested_; }
 
-    /** The --help text: program description plus the flag table. */
+    /**
+     * The --help text: program description plus the flag table with
+     * each flag's declared default (never a value parsed since).
+     */
     std::string usageText(const std::string& program_desc) const;
 
     /** Value of a declared flag as a string. */
@@ -114,6 +119,7 @@ class Cli
     struct Flag
     {
         std::string value;
+        std::string def;
         std::string help;
     };
     std::map<std::string, Flag> flags_;

@@ -160,6 +160,73 @@ TEST(CliTest, UsageTextKeepsLongHelpWhole)
         << text;
 }
 
+TEST(CliTest, UsageTextShowsDeclaredDefaultsAfterParsing)
+{
+    // A usage error prints the help text after parsing: each flag's
+    // declared default, not the value the command line gave it.
+    Cli cli;
+    cli.addFlag("runs", "10", "beam runs");
+    cli.addFlag("verbose", "false", "chatty output");
+    const char* argv[] = {"prog", "--runs", "3", "--verbose", "--bogus"};
+    EXPECT_FALSE(cli.tryParse(5, const_cast<char**>(argv)).ok());
+    EXPECT_EQ(cli.getInt("runs"), 3);
+    EXPECT_TRUE(cli.getBool("verbose"));
+    const std::string text = cli.usageText("desc");
+    EXPECT_NE(text.find("beam runs (default: 10)"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("chatty output (default: false)"),
+              std::string::npos)
+        << text;
+}
+
+TEST(CliTest, NegativeNumberAfterAFlagIsItsValue)
+{
+    Cli cli;
+    cli.addFlag("runs", "10", "beam runs");
+    cli.addFlag("rate", "1", "a rate");
+    cli.addFlag("quiet", "false", "less output");
+    const char* argv[] = {"prog", "--runs", "-1", "--rate", "-2.5e-3",
+                          "--quiet"};
+    ASSERT_TRUE(cli.tryParse(6, const_cast<char**>(argv)).ok());
+    EXPECT_EQ(cli.getInt("runs"), -1);
+    EXPECT_DOUBLE_EQ(cli.getDouble("rate"), -2.5e-3);
+    EXPECT_TRUE(cli.getBool("quiet"));
+
+    // A following flag is still a flag: the first stays a switch.
+    Cli switches;
+    switches.addFlag("quiet", "false", "less output");
+    switches.addFlag("runs", "10", "beam runs");
+    const char* flags[] = {"prog", "--quiet", "--runs", "-7"};
+    ASSERT_TRUE(switches.tryParse(4, const_cast<char**>(flags)).ok());
+    EXPECT_TRUE(switches.getBool("quiet"));
+    EXPECT_EQ(switches.getInt("runs"), -7);
+
+    // Anything else with a leading dash is not taken as a value.
+    Cli stray;
+    stray.addFlag("runs", "10", "beam runs");
+    const char* bad[] = {"prog", "--runs", "-x"};
+    EXPECT_FALSE(stray.tryParse(3, const_cast<char**>(bad)).ok());
+}
+
+TEST(CliDeathTest, NegativeCountIsARangeErrorNotAUsageError)
+{
+    // "--runs -1" reaches the range check and exits 1 naming the
+    // bounds, like "--runs=-1".
+    for (const std::vector<const char*>& args :
+         {std::vector<const char*>{"prog", "--runs", "-1"},
+          std::vector<const char*>{"prog", "--runs=-1"}}) {
+        EXPECT_EXIT(
+            {
+                Cli cli;
+                cli.addFlag("runs", "10", "beam runs");
+                cli.parse(static_cast<int>(args.size()),
+                          const_cast<char**>(args.data()), "test");
+                cli.getIntInRange("runs", 1, 1000000);
+            },
+            ::testing::ExitedWithCode(1), "must be in");
+    }
+}
+
 TEST(CliDeathTest, ParseExitsWithUsageCodeOnUnknownFlag)
 {
     Cli cli;
