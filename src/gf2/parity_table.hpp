@@ -9,8 +9,9 @@
  * ceil(N/8) table lookups XORed together instead of R word-parallel
  * inner products. This is the table compiler behind the compiled
  * codec fast path: Code72 lowers its parity-check matrix into a
- * 9-byte syndrome table, and the entry-level codec lowers the whole
- * 32x288 four-codeword syndrome map into a 36-byte table.
+ * 9-byte syndrome table. The entry-level codecs fold their packed
+ * 32-bit syndromes the same way into a 36-byte table of their own
+ * (ecc/syndrome_gather.hpp), which also skips zero bytes.
  *
  * The lowering is provably exact: the map is linear, the bytes
  * partition the input bits, and each table entry is itself built by
